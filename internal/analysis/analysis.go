@@ -70,6 +70,6 @@ var DeterministicPackages = []string{
 // //voxel:nilfree; this list exists because an annotation in package obs
 // is invisible to a caller-side pass over package quic.
 var knownNilFree = map[string]bool{
-	"voxel/internal/obs.Scope":        true,
+	"voxel/internal/obs.Scope":         true,
 	"voxel/internal/invariant.Checker": true,
 }

@@ -61,10 +61,12 @@ type Config struct {
 	Title          string
 	System         System
 	BufferSegments int
-	Trace          *trace.Trace
-	QueuePackets   int
-	Trials         int
-	Metric         qoe.Metric
+	// Trace is left out of the JSON encoding: the sweep checkpoint
+	// fingerprints it by name and sample hash instead.
+	Trace        *trace.Trace `json:"-"`
+	QueuePackets int
+	Trials       int
+	Metric       qoe.Metric
 	// Segments limits the clip length (0 = the full 75 segments).
 	Segments int
 	// CrossTraffic offers this much competing load (bps) through a fixed
@@ -89,11 +91,11 @@ type Config struct {
 	// the primary path permanently at FailoverKillTime, exercising
 	// idle-timeout detection and client failover mid-stream.
 	Failover bool
-	// Parallelism is the number of worker goroutines trials fan out across
-	// (and, via RunMatrix, (system, trial) pairs). 0 and 1 run sequentially;
-	// negative means GOMAXPROCS. Each trial owns its own simulated world, and
-	// results are written by trial index, so aggregates are bit-identical to
-	// the sequential output for the same seed at any setting.
+	// Parallelism is the number of worker goroutines trials fan out across.
+	// 0 and 1 run sequentially; negative means GOMAXPROCS. Each trial owns
+	// its own simulated world, and results are delivered in trial order, so
+	// aggregates are bit-identical to the sequential output for the same
+	// seed at any setting.
 	Parallelism int
 	// Telemetry attaches a per-trial obs.Scope to every layer of the stack
 	// and collects the per-trial reports into Aggregate.Obs. Recording never
@@ -108,7 +110,7 @@ type Config struct {
 	// zero-valued; trials already in flight notice the close at periodic
 	// virtual-time checkpoints and return early with Completed=false, so
 	// even a blackholed or unbounded trial cannot outlive its caller.
-	Interrupt <-chan struct{}
+	Interrupt <-chan struct{} `json:"-"`
 	// Sessions is the number of concurrent video sessions per trial (swarm
 	// mode). Each session is a full independent stack — QUIC* connection
 	// pair, origin server, HTTP client, player, ABR — and all of them are
@@ -156,7 +158,10 @@ type Config struct {
 // larger swarm is almost certainly a misconfigured flag.
 const MaxSessions = 512
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with the experiment layer's uniform
+// defaults applied (system, buffer, queue, trials, seed) — the exact config
+// an Aggregate and its TrialErrors are stamped with.
+func (c Config) WithDefaults() Config {
 	if c.System == "" {
 		c.System = SysVoxel
 	}
@@ -225,12 +230,6 @@ func (c Config) Owns(trial int) bool {
 	}
 	return trial%c.ShardCount == c.ShardIndex
 }
-
-// WithDefaults returns the config with the experiment layer's uniform
-// defaults applied (system, buffer, queue, trials, seed) — the exact config
-// an Aggregate and its TrialErrors are stamped with. Exported so the sweep
-// engine can fingerprint and re-stamp checkpointed state consistently.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // sessions resolves the Sessions knob (0 and 1 both mean one session).
 func (c Config) sessions() int {
@@ -476,7 +475,13 @@ func ManifestFor(title string, metric qoe.Metric, segments int) *dash.Manifest {
 // runs only its owned trials; the other slots stay zero-valued and the
 // aggregate's samples cover the owned trials only.
 func Run(cfg Config) *Aggregate {
-	return runConfigs([]Config{cfg}, cfg.workers())[0]
+	c := cfg.WithDefaults()
+	trials := make([]Trial, c.Trials)
+	fails := make([]*TrialError, c.Trials)
+	RunPartial(c, nil, func(ti int, tr Trial, te *TrialError) {
+		trials[ti], fails[ti] = tr, te
+	})
+	return Assemble(c, trials, fails)
 }
 
 // TrialFunc observes one completed trial: its index, its result, and (for a
@@ -488,183 +493,103 @@ func Run(cfg Config) *Aggregate {
 type TrialFunc func(trial int, tr Trial, te *TrialError)
 
 // RunPartial runs the trials of cfg that the config's shard owns and that
-// skip does not exclude (nil skips nothing), invoking fn (may be nil) as
-// each completes, in trial order. It returns the raw per-trial results as
-// full-length slices — skipped and unowned slots are zero/nil — ready for
-// the caller to fill from a checkpoint and hand to Assemble. This is the
-// resumable core of exp.Run: Run == Assemble(cfg, RunPartial(cfg, nil, nil)).
-func RunPartial(cfg Config, skip func(trial int) bool, fn TrialFunc) ([]Trial, []*TrialError) {
-	trials, fails := runPlans([]plan{{cfg: cfg, skip: skip, onTrial: fn}}, cfg.workers())
-	return trials[0], fails[0]
+// skip does not exclude (nil skips nothing), delivering each to fn in trial
+// order. It keeps no per-trial state of its own: fn decides whether a
+// result is retained (Run), folded into a sketch and dropped (the sweep
+// engine's streaming mode), or checkpointed. A trial that Config.Interrupt
+// cancelled before it started is not delivered. A failed trial fires
+// FailureHook just before fn sees it.
+func RunPartial(cfg Config, skip func(trial int) bool, fn TrialFunc) {
+	c := cfg.WithDefaults()
+	var order []int // planned trial indices, increasing
+	for ti := 0; ti < c.Trials; ti++ {
+		if c.Owns(ti) && (skip == nil || !skip(ti)) {
+			order = append(order, ti)
+		}
+	}
+	// Completions are sequenced into trial order through a reorder buffer.
+	// Trials are dispatched to the pool in increasing order, so at most
+	// `workers` completions can ever wait ahead of the cursor — the buffer
+	// is bounded by the pool, not the sweep size. The callback runs under
+	// mu, which is what makes TrialFunc's "serialized, in trial order"
+	// contract hold.
+	type result struct {
+		tr      Trial
+		te      *TrialError
+		skipped bool // interrupted before running; advance past silently
+	}
+	var (
+		mu    sync.Mutex
+		ready = map[int]result{}
+		next  int // cursor into order
+	)
+	complete := func(ti int, r result) {
+		mu.Lock()
+		defer mu.Unlock()
+		ready[ti] = r
+		for next < len(order) {
+			ti := order[next]
+			r, ok := ready[ti]
+			if !ok {
+				break
+			}
+			delete(ready, ti)
+			next++
+			if r.skipped {
+				continue
+			}
+			if r.te != nil && FailureHook != nil {
+				FailureHook(r.te)
+			}
+			fn(ti, r.tr, r.te)
+		}
+	}
+	runOne := func(ti int) {
+		if interrupted(c.Interrupt) {
+			complete(ti, result{skipped: true})
+			return
+		}
+		man := ManifestFor(c.Title, c.Metric, c.Segments)
+		shift := time.Duration(0)
+		if c.Trace != nil && c.Trials > 1 {
+			shift = c.Trace.Duration() * time.Duration(ti) / time.Duration(c.Trials)
+		}
+		tr, te := runTrial(c, man, shift, TrialSeed(c.Seed, ti), ti)
+		complete(ti, result{tr: tr, te: te})
+	}
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for k := 0; k < min(c.workers(), len(order)); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ti := range ch {
+				runOne(ti)
+			}
+		}()
+	}
+	for _, ti := range order {
+		ch <- ti
+	}
+	close(ch)
+	wg.Wait()
 }
 
-// RunStream runs the owned, unskipped trials of cfg without retaining any
-// per-trial state: each result is delivered exactly once to fn (in trial
-// order, serialized) and then dropped, so memory stays bounded no matter
-// how many trials the sweep has. The caller folds results into mergeable
-// summaries (see internal/sweep's streaming mode).
-func RunStream(cfg Config, skip func(trial int) bool, fn TrialFunc) {
-	runPlans([]plan{{cfg: cfg, skip: skip, onTrial: fn, discard: true}}, cfg.workers())
+// interrupted polls an interrupt channel without blocking; a nil channel
+// never fires.
+func interrupted(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // TrialSeed derives trial j's world seed from the config seed. Exported so
 // the chaos shrinker can collapse a multi-trial failure to a single-trial
 // artifact that builds the exact same world.
 func TrialSeed(base int64, trial int) int64 { return base + int64(trial)*7919 }
-
-// job addresses one (config, trial) cell in a batch.
-type job struct{ cfg, trial int }
-
-// plan is one config's execution request within a batch: which trials to
-// skip beyond shard ownership, a completion callback, and whether to retain
-// per-trial results.
-type plan struct {
-	cfg     Config
-	skip    func(int) bool // nil = skip nothing beyond shard ownership
-	onTrial TrialFunc      // nil = no callback
-	discard bool           // do not retain results (streaming mode)
-}
-
-// delivery sequences one plan's completion callbacks into trial order. Jobs
-// are dispatched to the pool in increasing trial order, so at most
-// `workers` completions can ever be buffered ahead of the cursor — the
-// reorder window is bounded by the pool, not the sweep size.
-type delivery struct {
-	order []int // planned trial indices, increasing
-	next  int   // cursor into order
-	ready map[int]deliverable
-}
-
-type deliverable struct {
-	tr      Trial
-	te      *TrialError
-	skipped bool // interrupted before running; advance past silently
-}
-
-// runConfigs executes plain configs (no skip/callback), the RunMatrix path.
-func runConfigs(cfgs []Config, workers int) []*Aggregate {
-	plans := make([]plan, len(cfgs))
-	for i, c := range cfgs {
-		plans[i] = plan{cfg: c}
-	}
-	trials, fails := runPlans(plans, workers)
-	out := make([]*Aggregate, len(cfgs))
-	for ci := range cfgs {
-		out[ci] = Assemble(cfgs[ci], trials[ci], fails[ci])
-	}
-	return out
-}
-
-// runPlans executes every planned trial of every plan through one shared
-// worker pool, so RunMatrix saturates the pool even when individual configs
-// have few trials. Trial results are written into per-plan slices by index
-// (nil slices for discarding plans); completion callbacks fire in trial
-// order under one lock.
-func runPlans(plans []plan, workers int) ([][]Trial, [][]*TrialError) {
-	for i := range plans {
-		plans[i].cfg = plans[i].cfg.withDefaults()
-	}
-	trials := make([][]Trial, len(plans))
-	fails := make([][]*TrialError, len(plans))
-	deliver := make([]*delivery, len(plans))
-	var jobs []job
-	for pi, p := range plans {
-		if !p.discard {
-			trials[pi] = make([]Trial, p.cfg.Trials)
-			fails[pi] = make([]*TrialError, p.cfg.Trials)
-		}
-		d := &delivery{ready: map[int]deliverable{}}
-		for ti := 0; ti < p.cfg.Trials; ti++ {
-			if !p.cfg.Owns(ti) || (p.skip != nil && p.skip(ti)) {
-				continue
-			}
-			jobs = append(jobs, job{pi, ti})
-			d.order = append(d.order, ti)
-		}
-		deliver[pi] = d
-	}
-	interrupted := func(c Config) bool {
-		if c.Interrupt == nil {
-			return false
-		}
-		select {
-		case <-c.Interrupt:
-			return true
-		default:
-			return false
-		}
-	}
-	// deliverMu serializes the in-order callback drain across workers; the
-	// callback itself runs under it, which is what makes TrialFunc's
-	// "serialized, in trial order" contract hold.
-	var deliverMu sync.Mutex
-	complete := func(j job, dl deliverable) {
-		p := plans[j.cfg]
-		if !p.discard {
-			trials[j.cfg][j.trial] = dl.tr
-			fails[j.cfg][j.trial] = dl.te
-		}
-		if p.onTrial == nil {
-			return
-		}
-		deliverMu.Lock()
-		defer deliverMu.Unlock()
-		d := deliver[j.cfg]
-		d.ready[j.trial] = dl
-		for d.next < len(d.order) {
-			ti := d.order[d.next]
-			r, ok := d.ready[ti]
-			if !ok {
-				break
-			}
-			delete(d.ready, ti)
-			d.next++
-			if !r.skipped {
-				p.onTrial(ti, r.tr, r.te)
-			}
-		}
-	}
-	runOne := func(j job) {
-		c := plans[j.cfg].cfg
-		if interrupted(c) {
-			complete(j, deliverable{skipped: true})
-			return
-		}
-		man := ManifestFor(c.Title, c.Metric, c.Segments)
-		shift := time.Duration(0)
-		if c.Trace != nil && c.Trials > 1 {
-			shift = c.Trace.Duration() * time.Duration(j.trial) / time.Duration(c.Trials)
-		}
-		tr, te := runTrial(c, man, shift, TrialSeed(c.Seed, j.trial), j.trial)
-		complete(j, deliverable{tr: tr, te: te})
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			runOne(j)
-		}
-	} else {
-		ch := make(chan job)
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range ch {
-					runOne(j)
-				}
-			}()
-		}
-		for _, j := range jobs {
-			ch <- j
-		}
-		close(ch)
-		wg.Wait()
-	}
-	return trials, fails
-}
 
 // Assemble folds raw per-trial results into an Aggregate, exactly the way a
 // live run does: samples in trial order (owned trials only), failures in
@@ -674,31 +599,14 @@ func runPlans(plans []plan, workers int) ([][]Trial, [][]*TrialError) {
 // bit for bit — the raw trial results are identical, and this fold is the
 // same code path. cfg is defaulted before stamping.
 func Assemble(cfg Config, trials []Trial, fails []*TrialError) *Aggregate {
-	return assemble(cfg, trials, fails, true)
-}
-
-// AssembleQuiet is Assemble without the FailureHook side effect, for
-// callers that re-fold results whose failures were already reported when
-// they originally ran (checkpoint restore, shard merge).
-func AssembleQuiet(cfg Config, trials []Trial, fails []*TrialError) *Aggregate {
-	return assemble(cfg, trials, fails, false)
-}
-
-func assemble(cfg Config, trials []Trial, fails []*TrialError, fireHook bool) *Aggregate {
-	c := cfg.withDefaults()
+	c := cfg.WithDefaults()
 	agg := &Aggregate{Config: c, Trials: trials}
 	for ti, tr := range trials {
 		if !c.Owns(ti) {
 			continue // an unowned slot is absent, not a zero sample
 		}
 		if ti < len(fails) && fails[ti] != nil {
-			// Aggregation runs on one goroutine after the pool drained, so
-			// failures surface in deterministic (config, trial) order and
-			// the hook needs no synchronization of its own.
 			agg.Failed = append(agg.Failed, *fails[ti])
-			if fireHook && FailureHook != nil {
-				FailureHook(fails[ti])
-			}
 			continue
 		}
 		agg.BufRatios = append(agg.BufRatios, tr.BufRatio)
@@ -748,11 +656,11 @@ func buildPath(s *sim.Sim, cfg Config, man *dash.Manifest, shift time.Duration) 
 	return netem.NewPath(s, tr.Shifted(shift), cfg.QueuePackets)
 }
 
-// interruptCheckpoint is how often (in virtual time) runTrial comes up for
-// air to poll Config.Interrupt while the event loop runs. Slicing RunUntil
-// into checkpoints executes the exact same events in the same order as one
-// call, so results stay bit-identical; it only bounds how much virtual
-// time a cancellation can lag.
+// interruptCheckpoint is the virtual-time width of one event-loop slice:
+// how often runTrial comes up for air to poll Config.Interrupt and the
+// watchdog budgets. Slicing executes the exact same events in the same
+// order as one RunUntil over the whole span, so results stay bit-identical;
+// it only bounds how much virtual time a cancellation can lag.
 const interruptCheckpoint = time.Second
 
 // runTrial executes one trial world. A failure — recovered panic, invariant
@@ -941,68 +849,53 @@ func runTrial(cfg Config, man *dash.Manifest, shift time.Duration, seed int64, t
 	if limit == 0 {
 		limit = 20 * man.Duration()
 	}
-	watchdog := cfg.WatchdogWall > 0 || cfg.WatchdogEvents > 0
-	if cfg.Interrupt == nil && !watchdog {
-		s.RunUntil(limit)
-	} else {
-		// Same event execution as one RunUntil(limit), sliced so a close of
-		// the Interrupt channel — or a breached watchdog budget — stops the
-		// trial mid-flight instead of only between trials.
-		// The !s.Halted() guard matters since RunUntil stopped advancing the
-		// clock on a halted simulator: without it a mid-trial Halt would pin
-		// Now below the next checkpoint and spin this loop forever. Nothing
-		// in exp calls Halt today, so behavior is unchanged — this is
-		// insurance for session code that might.
-		var wallStart time.Time
+	// One sliced event loop serves every trial. Each slice is a budgeted
+	// RunUntil to the next checkpoint; the event budget, the wall budget and
+	// the interrupt poll are each consulted only when set. The !s.Halted()
+	// guard matters since RunUntil does not advance the clock on a halted
+	// simulator: without it a mid-trial Halt would pin Now below the next
+	// checkpoint and spin this loop forever.
+	var wallStart time.Time
+	if cfg.WatchdogWall > 0 {
+		//voxel:det-ok the wall watchdog measures real elapsed time by design; it never feeds trial results
+		wallStart = time.Now()
+	}
+	startExec := s.Executed()
+	aborted := false
+	for s.Now() < limit && !aborted && !s.Halted() && s.Pending() > 0 {
+		next := s.Now() + interruptCheckpoint
+		if next > limit {
+			next = limit
+		}
+		slice := ^uint64(0)
+		if cfg.WatchdogWall > 0 || cfg.WatchdogEvents > 0 {
+			// Cap the slice so even a zero-delay storm — which never lets
+			// the clock reach next — yields control for the budget checks.
+			slice = watchdogSliceEvents
+		}
+		if cfg.WatchdogEvents > 0 {
+			if rem := cfg.WatchdogEvents - (s.Executed() - startExec); rem < slice {
+				slice = rem
+			}
+		}
+		s.RunUntilBudget(next, slice)
+		if cfg.WatchdogEvents > 0 && s.Executed()-startExec >= cfg.WatchdogEvents {
+			return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "watchdog.event-budget",
+				"trial executed %d events (budget %d) at virtual %v",
+				s.Executed()-startExec, cfg.WatchdogEvents, time.Duration(s.Now()))
+		}
 		if cfg.WatchdogWall > 0 {
 			//voxel:det-ok the wall watchdog measures real elapsed time by design; it never feeds trial results
-			wallStart = time.Now()
-		}
-		startExec := s.Executed()
-		aborted := false
-		for s.Now() < limit && !aborted && !s.Halted() && s.Pending() > 0 {
-			next := s.Now() + interruptCheckpoint
-			if next > limit {
-				next = limit
-			}
-			if !watchdog {
-				s.RunUntil(next)
-			} else {
-				// Cap the slice's event budget so even a zero-delay storm —
-				// which RunUntil would never return from — yields control here
-				// every few million events for the budget checks below.
-				slice := uint64(watchdogSliceEvents)
-				if cfg.WatchdogEvents > 0 {
-					if rem := cfg.WatchdogEvents - (s.Executed() - startExec); rem < slice {
-						slice = rem
-					}
-				}
-				s.RunUntilBudget(next, slice)
-				if cfg.WatchdogEvents > 0 && s.Executed()-startExec >= cfg.WatchdogEvents {
-					return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "watchdog.event-budget",
-						"trial executed %d events (budget %d) at virtual %v",
-						s.Executed()-startExec, cfg.WatchdogEvents, time.Duration(s.Now()))
-				}
-				if cfg.WatchdogWall > 0 {
-					//voxel:det-ok the wall watchdog measures real elapsed time by design; it never feeds trial results
-					if elapsed := time.Since(wallStart); elapsed > cfg.WatchdogWall {
-						return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "watchdog.wall-budget",
-							"trial ran %v wall (budget %v) at virtual %v",
-							elapsed.Round(time.Millisecond), cfg.WatchdogWall, time.Duration(s.Now()))
-					}
-				}
-			}
-			if cfg.Interrupt != nil {
-				select {
-				case <-cfg.Interrupt:
-					aborted = true
-				default:
-				}
+			if elapsed := time.Since(wallStart); elapsed > cfg.WatchdogWall {
+				return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "watchdog.wall-budget",
+					"trial ran %v wall (budget %v) at virtual %v",
+					elapsed.Round(time.Millisecond), cfg.WatchdogWall, time.Duration(s.Now()))
 			}
 		}
-		if !aborted && !s.Halted() && s.Now() < limit {
-			s.RunUntil(limit) // queue drained early: fast-forward the clock
-		}
+		aborted = cfg.Interrupt != nil && interrupted(cfg.Interrupt)
+	}
+	if !aborted && !s.Halted() && s.Now() < limit {
+		s.RunUntil(limit) // queue drained early: fast-forward the clock
 	}
 	if gen != nil {
 		gen.Stop()
@@ -1089,22 +982,4 @@ func foldSessions(sessions []SessionResult) Trial {
 	tr.MeanScore = stats.Mean(tr.Scores)
 	tr.Jain = stats.JainIndex(bitrates)
 	return tr
-}
-
-// RunMatrix runs one configuration per system and returns them keyed by
-// system — the shape most figures need. All (system, trial) pairs share one
-// base.Parallelism-wide worker pool, so a matrix of short configs still
-// fills every worker.
-func RunMatrix(base Config, systems []System) map[System]*Aggregate {
-	cfgs := make([]Config, len(systems))
-	for i, sys := range systems {
-		cfgs[i] = base
-		cfgs[i].System = sys
-	}
-	aggs := runConfigs(cfgs, base.workers())
-	out := make(map[System]*Aggregate, len(systems))
-	for i, sys := range systems {
-		out[sys] = aggs[i]
-	}
-	return out
 }

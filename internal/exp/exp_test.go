@@ -130,13 +130,3 @@ func TestManifestCaching(t *testing.T) {
 		t.Fatal("different metrics must not share manifests")
 	}
 }
-
-func TestRunMatrix(t *testing.T) {
-	base := smallCfg("")
-	base.Trials = 1
-	base.Segments = 4
-	out := RunMatrix(base, []System{SysBolaQ, SysVoxel})
-	if len(out) != 2 || out[SysBolaQ] == nil || out[SysVoxel] == nil {
-		t.Fatal("matrix incomplete")
-	}
-}

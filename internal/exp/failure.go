@@ -49,45 +49,51 @@ func (e *TrialError) Error() string {
 
 // ReplayCommand returns a copy-pasteable voxel-sim invocation that
 // deterministically reproduces the failing sweep (the failure fires at the
-// same trial index, since trials are independent worlds keyed by seed).
+// same trial index, since trials are independent worlds keyed by seed). It
+// renders the crash artifact's fields as flags, so the Config → outside
+// world mapping lives in Artifact alone. CC, link capacity and MaxSimTime
+// have no voxel-sim flag; only the artifact carries them.
 func (e *TrialError) ReplayCommand() string {
+	a := e.Artifact()
 	var b strings.Builder
 	b.WriteString("go run ./cmd/voxel-sim")
-	c := e.Config
 	add := func(flag, val string) { b.WriteString(" -" + flag + " " + val) }
-	if c.Title != "" {
-		add("title", c.Title)
+	if a.Title != "" {
+		add("title", a.Title)
 	}
-	if c.System != "" {
-		add("system", "'"+string(c.System)+"'")
+	if a.System != "" {
+		add("system", "'"+a.System+"'")
 	}
-	if c.CrossTraffic > 0 {
-		add("cross", strconv.FormatFloat(c.CrossTraffic/1e6, 'g', -1, 64))
-	} else if c.Trace != nil {
-		add("trace", traceFlagName(c.Trace))
+	if a.CrossMbps > 0 {
+		add("cross", strconv.FormatFloat(a.CrossMbps, 'g', -1, 64))
+	} else if a.Trace != "" {
+		add("trace", a.Trace)
 	}
-	add("buffer", strconv.Itoa(c.BufferSegments))
-	if c.Segments > 0 {
-		add("segments", strconv.Itoa(c.Segments))
+	if a.Metric != "" {
+		add("metric", a.Metric)
 	}
-	add("trials", strconv.Itoa(c.Trials))
-	add("seed", strconv.FormatInt(c.Seed, 10))
-	if c.QueuePackets > 0 && c.QueuePackets != 32 {
-		add("queue", strconv.Itoa(c.QueuePackets))
+	add("buffer", strconv.Itoa(a.Buffer))
+	if a.Segments > 0 {
+		add("segments", strconv.Itoa(a.Segments))
 	}
-	if c.Sessions > 1 {
-		add("sessions", strconv.Itoa(c.Sessions))
+	add("trials", strconv.Itoa(a.Trials))
+	add("seed", strconv.FormatInt(a.Seed, 10))
+	if a.Queue > 0 && a.Queue != 32 {
+		add("queue", strconv.Itoa(a.Queue))
 	}
-	if c.Impairment != "" {
-		add("impair", c.Impairment)
+	if a.Sessions > 1 {
+		add("sessions", strconv.Itoa(a.Sessions))
 	}
-	if c.Failover {
+	if a.Impairment != "" {
+		add("impair", a.Impairment)
+	}
+	if a.Failover {
 		b.WriteString(" -failover")
 	}
-	if c.Inject != "" {
-		add("inject", c.Inject)
+	if a.Inject != "" {
+		add("inject", a.Inject)
 	}
-	if c.Invariants {
+	if e.Config.Invariants {
 		b.WriteString(" -invariants")
 	}
 	return b.String()
@@ -129,14 +135,16 @@ func (e *TrialError) Artifact() *repro.Artifact {
 }
 
 // traceFlagName names a trace the way -trace and artifact files expect:
-// the canonical ByName key when there is one, the internal name otherwise
-// (a non-canonical trace can't round-trip through a flag, but at least the
-// command identifies it).
+// the canonical ByName key when the trace is exactly a canonical trace.
+// Any other trace — a shifted or offset copy, a CSV or synthetic trace —
+// is written as "custom:" plus its internal name, which identifies it but
+// which ByName refuses, so a replay fails loudly instead of silently
+// running a different trace.
 func traceFlagName(t *trace.Trace) string {
 	if name, ok := trace.CanonicalName(t); ok {
 		return name
 	}
-	return t.Name()
+	return "custom:" + t.Name()
 }
 
 // ConfigFromArtifact resolves a crash artifact back into a runnable
@@ -202,11 +210,14 @@ const (
 // the wall clock to be consulted.
 const watchdogSliceEvents = 1 << 21
 
-// FailureHook, when non-nil, observes every TrialError at aggregation time
-// (after the sweep finished, in deterministic (config, trial) order). CLIs
-// that drive many sweeps through layers that do not surface Aggregate —
-// voxel-bench's figure generators — use it to collect failures for the
-// final report. The hook runs under an internal lock; keep it fast.
+// FailureHook, when non-nil, observes every TrialError when RunPartial
+// delivers the failed trial, in trial order, just before the TrialFunc sees
+// it. Only trials run in this process fire it: failures restored from a
+// checkpoint or folded by MergeShards were reported by the run that
+// produced them. CLIs that drive many sweeps through layers that do not
+// surface Aggregate — voxel-bench's figure generators — use it to collect
+// failures for the final report. The hook runs under the delivery lock;
+// keep it fast.
 var FailureHook func(*TrialError)
 
 // trialCtx carries the identity of the running trial so failures anywhere

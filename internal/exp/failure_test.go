@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"voxel/internal/qoe"
 	"voxel/internal/trace"
 )
 
@@ -172,8 +173,9 @@ func TestWatchdogWallBudgetCatchesSpin(t *testing.T) {
 	}
 }
 
-// The watchdog's sliced run loop must execute the exact same events as one
-// RunUntil when nothing breaches, leaving results bit-identical.
+// Arming the watchdog adds budget checks and a per-slice event cap to the
+// run loop; when nothing breaches, results must stay bit-identical to an
+// unarmed run.
 func TestWatchdogTransparentWhenUnderBudget(t *testing.T) {
 	base := failCfg()
 	base.Trials = 2
@@ -219,6 +221,47 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if tr, _ := ConfigFromArtifact(a); tr.Trace.Name() != want.Trace.Name() {
 		t.Fatalf("trace %q did not round-trip", want.Trace.Name())
+	}
+}
+
+// A shifted copy keeps the canonical trace's name but not its samples. Its
+// artifact and replay command must not name a trace ByName resolves, or a
+// replay would silently run the unshifted trace.
+func TestArtifactShiftedTraceNotCanonical(t *testing.T) {
+	cfg := failCfg()
+	cfg.Trace = trace.Verizon().Shifted(37 * time.Second)
+	te := &TrialError{Config: cfg.WithDefaults(), Rule: "panic"}
+
+	a := te.Artifact()
+	if _, err := trace.ByName(a.Trace); err == nil {
+		t.Fatalf("artifact names shifted trace %q, which ByName resolves", a.Trace)
+	}
+	if _, err := ConfigFromArtifact(a); err == nil {
+		t.Fatal("artifact of a shifted trace replayed without error")
+	}
+	if cmd := te.ReplayCommand(); !strings.Contains(cmd, " -trace "+a.Trace+" ") {
+		t.Fatalf("replay command %q does not name the artifact's trace %q", cmd, a.Trace)
+	}
+
+	// The unshifted trace keeps its canonical name.
+	te.Config.Trace = trace.Verizon()
+	if got := te.Artifact().Trace; got != "verizon" {
+		t.Fatalf("canonical trace named %q, want verizon", got)
+	}
+}
+
+// The replay command must carry a non-default QoE metric: a VMAF failure
+// replayed under SSIM is a different experiment.
+func TestReplayCommandKeepsMetric(t *testing.T) {
+	cfg := failCfg()
+	cfg.Metric = qoe.VMAF
+	te := &TrialError{Config: cfg.WithDefaults(), Rule: "panic"}
+	if cmd := te.ReplayCommand(); !strings.Contains(cmd, " -metric vmaf") {
+		t.Fatalf("replay command %q lacks -metric vmaf", cmd)
+	}
+	te.Config.Metric = qoe.SSIM
+	if cmd := te.ReplayCommand(); strings.Contains(cmd, "-metric") {
+		t.Fatalf("replay command %q names the default metric", cmd)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // test, and a merged aggregate is stamped with the normalized (defaulted)
 // config, which is exactly what an unsharded sequential run stamps.
 func (c Config) Normalized() Config {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	c.ShardIndex = 0
 	c.ShardCount = 0
 	c.Parallelism = 0
@@ -31,9 +31,9 @@ func (c Config) Normalized() Config {
 // full-length trial vector by ownership and re-assembled with the
 // normalized config; because trial seeds and trace shifts depend only on
 // the trial index and the full trial count — never on which shard ran the
-// trial — the refold reproduces the single-process fold exactly.
-// FailureHook is not re-fired for the shards' failures: each shard already
-// reported them when it ran.
+// trial — the refold reproduces the single-process fold exactly. The fold
+// is pure, so FailureHook does not fire again for the shards' failures:
+// each shard reported them at delivery, when it ran them.
 func MergeShards(shards []*Aggregate) (*Aggregate, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("exp: merge of zero shards")
@@ -100,7 +100,7 @@ func mergeRefold(shards []*Aggregate) (*Aggregate, error) {
 	trials := make([]Trial, norm.Trials)
 	fails := make([]*TrialError, norm.Trials)
 	for _, s := range shards {
-		own := s.Config.withDefaults()
+		own := s.Config.WithDefaults()
 		for ti := 0; ti < norm.Trials; ti++ {
 			if !own.Owns(ti) {
 				continue
@@ -119,5 +119,5 @@ func mergeRefold(shards []*Aggregate) (*Aggregate, error) {
 			fails[te.Trial] = &te
 		}
 	}
-	return assemble(norm, trials, fails, false), nil
+	return Assemble(norm, trials, fails), nil
 }

@@ -48,26 +48,21 @@ func TestParallelRunDeterminism(t *testing.T) {
 }
 
 func TestParallelRunMatrixEquivalence(t *testing.T) {
-	systems := []System{SysBolaQ, SysVoxel, SysBeta}
+	for _, sys := range []System{SysBolaQ, SysVoxel, SysBeta} {
+		seq := tracedCfg()
+		seq.System = sys
+		seq.Trials = 2
+		seq.Segments = 4
+		seq.Parallelism = 1
+		par := seq
+		par.Parallelism = 4
 
-	seq := tracedCfg()
-	seq.System = ""
-	seq.Trials = 2
-	seq.Segments = 4
-	par := seq
-	par.Parallelism = 4
-
-	sa := RunMatrix(seq, systems)
-	pa := RunMatrix(par, systems)
-	if len(sa) != len(systems) || len(pa) != len(systems) {
-		t.Fatalf("matrix sizes %d/%d, want %d", len(sa), len(pa), len(systems))
-	}
-	for _, sys := range systems {
-		if !reflect.DeepEqual(sa[sys].Trials, pa[sys].Trials) {
-			t.Errorf("%s: parallel matrix trials differ from sequential", sys)
+		sa, pa := Run(seq), Run(par)
+		if !reflect.DeepEqual(sa.Trials, pa.Trials) {
+			t.Errorf("%s: parallel trials differ from sequential", sys)
 		}
-		if !reflect.DeepEqual(sa[sys].AllScores, pa[sys].AllScores) {
-			t.Errorf("%s: parallel matrix scores differ from sequential", sys)
+		if !reflect.DeepEqual(sa.AllScores, pa.AllScores) {
+			t.Errorf("%s: parallel scores differ from sequential", sys)
 		}
 	}
 }

@@ -177,7 +177,7 @@ func TestMergeShardsErrors(t *testing.T) {
 		c := tracedCfg()
 		c.Trials = 4
 		c.ShardIndex, c.ShardCount = index, count
-		d := c.withDefaults()
+		d := c.WithDefaults()
 		return &Aggregate{Config: d, Trials: make([]Trial, d.Trials)}
 	}
 	cases := []struct {
@@ -230,8 +230,9 @@ func TestRunPartialSkipAndOrder(t *testing.T) {
 	c.Parallelism = 4
 	var mu sync.Mutex
 	var order []int
+	got := map[int]Trial{}
 	inCallback := false
-	trials, fails := RunPartial(c, func(ti int) bool { return ti == 3 || ti == 6 }, // skip two
+	RunPartial(c, func(ti int) bool { return ti == 3 || ti == 6 }, // skip two
 		func(ti int, tr Trial, te *TrialError) {
 			mu.Lock()
 			if inCallback {
@@ -242,25 +243,19 @@ func TestRunPartialSkipAndOrder(t *testing.T) {
 			inCallback = true
 			mu.Unlock()
 			order = append(order, ti)
+			got[ti] = tr
 			mu.Lock()
 			inCallback = false
 			mu.Unlock()
 		})
-	if want := []int{0, 1, 2, 4, 5, 7}; !reflect.DeepEqual(order, want) {
+	want := []int{0, 1, 2, 4, 5, 7}
+	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("delivery order %v, want %v", order, want)
 	}
-	if len(trials) != 8 || len(fails) != 8 {
-		t.Fatalf("result vectors must span all trials: %d/%d", len(trials), len(fails))
-	}
-	for _, ti := range []int{3, 6} {
-		if trials[ti].Completed {
-			t.Fatalf("skipped trial %d ran anyway", ti)
-		}
-	}
-	// The partial results must equal the corresponding slots of a full run.
+	// The delivered results must equal the corresponding slots of a full run.
 	full := Run(tracedCfgTrials(8))
-	for _, ti := range []int{0, 1, 2, 4, 5, 7} {
-		if !reflect.DeepEqual(trials[ti], full.Trials[ti]) {
+	for _, ti := range want {
+		if !reflect.DeepEqual(got[ti], full.Trials[ti]) {
 			t.Fatalf("partial trial %d differs from full run", ti)
 		}
 	}
@@ -272,14 +267,15 @@ func tracedCfgTrials(n int) Config {
 	return c
 }
 
-// RunStream retains nothing but still delivers every owned trial in order.
+// RunPartial retains nothing itself: a callback that drops each result
+// still sees every owned trial, in order.
 func TestRunStreamDiscards(t *testing.T) {
 	c := tracedCfg()
 	c.Trials = 6
 	c.Parallelism = 3
 	c.ShardIndex, c.ShardCount = 0, 2
 	var got []int
-	RunStream(c, nil, func(ti int, tr Trial, te *TrialError) {
+	RunPartial(c, nil, func(ti int, tr Trial, te *TrialError) {
 		got = append(got, ti)
 		if !tr.Completed {
 			t.Errorf("trial %d delivered incomplete", ti)

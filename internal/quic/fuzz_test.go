@@ -13,10 +13,10 @@ import (
 //
 // Run with: go test -fuzz FuzzRangeSet ./internal/quic
 func FuzzRangeSet(f *testing.F) {
-	f.Add([]byte{0, 4, 8, 4, 4, 4})         // [0,4) [8,12) then bridge [4,8)
-	f.Add([]byte{0, 0, 1, 1, 1, 1})         // empty add, duplicate adds
-	f.Add([]byte{10, 5, 0, 30, 2, 2})       // add swallowed by a superset
-	f.Add([]byte{250, 10, 0, 1, 255, 255})  // near the scripted byte limits
+	f.Add([]byte{0, 4, 8, 4, 4, 4})        // [0,4) [8,12) then bridge [4,8)
+	f.Add([]byte{0, 0, 1, 1, 1, 1})        // empty add, duplicate adds
+	f.Add([]byte{10, 5, 0, 30, 2, 2})      // add swallowed by a superset
+	f.Add([]byte{250, 10, 0, 1, 255, 255}) // near the scripted byte limits
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const horizon = 1 << 10 // model window; scripted offsets stay far below
 		var s RangeSet

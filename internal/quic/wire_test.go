@@ -115,9 +115,9 @@ func TestEmptyDataStreamFrameRoundTrip(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0x00},                   // wrong header byte
-		{packetHeaderByte},       // missing pn
-		{packetHeaderByte, 0, 0xFF},    // unknown frame type
+		{0x00},                      // wrong header byte
+		{packetHeaderByte},          // missing pn
+		{packetHeaderByte, 0, 0xFF}, // unknown frame type
 		{packetHeaderByte, 0, frameTypeStream, 0, 0, 5, 1, 2}, // truncated stream data
 		{packetHeaderByte, 0, frameTypeAck, 1, 5, 2},          // first > last ack range
 	}

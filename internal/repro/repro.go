@@ -18,7 +18,7 @@ import (
 )
 
 // Artifact is one replayable crash case. Zero-valued fields take the
-// experiment harness defaults, mirroring exp.Config.withDefaults, so a
+// experiment harness defaults, mirroring exp.Config.WithDefaults, so a
 // shrunk artifact stays minimal on disk.
 type Artifact struct {
 	Title      string  `json:"title"`

@@ -137,6 +137,20 @@ func genScript(rng *rand.Rand, nops int) []scriptOp {
 }
 
 func replay[E any](k kernel[E], ops []scriptOp, halt bool) *driver[E] {
+	d := runScript(k, ops)
+	if halt {
+		// Halt from inside an event mid-run: the clock must freeze at the
+		// halting event on both kernels, including through RunUntil.
+		k.Schedule(time.Millisecond, func() { k.Halt() })
+		k.RunUntil(k.Now() + 10*time.Second)
+	}
+	k.Run()
+	return d
+}
+
+// runScript replays the script's operations and leaves the kernel with
+// whatever the script left pending.
+func runScript[E any](k kernel[E], ops []scriptOp) *driver[E] {
 	d := &driver[E]{k: k}
 	for _, op := range ops {
 		switch op.kind {
@@ -160,13 +174,6 @@ func replay[E any](k kernel[E], ops []scriptOp, halt bool) *driver[E] {
 			d.spawn(k.Now()+op.delay, true)
 		}
 	}
-	if halt {
-		// Halt from inside an event mid-run: the clock must freeze at the
-		// halting event on both kernels, including through RunUntil.
-		k.Schedule(time.Millisecond, func() { k.Halt() })
-		k.RunUntil(k.Now() + 10*time.Second)
-	}
-	k.Run()
 	return d
 }
 
@@ -175,7 +182,51 @@ func diffKernels(t *testing.T, seed int64, nops int, halt bool) {
 	ops := genScript(rand.New(rand.NewSource(seed)), nops)
 	dw := replay[*Event](New(seed), ops, halt)
 	dh := replay[*refEvent](newRefSim(), ops, halt)
+	compareDrivers(t, seed, dw, dh)
+}
 
+// diffSliced drains the wheel the way the experiment harness's trial loop
+// does — RunUntilBudget slices of random width and random budget, down to
+// one event per call — while the heap reference drains the same span with
+// one RunUntil. Slicing must be invisible: same trace, clock, and counters,
+// with or without a Halt fired mid-drain.
+func diffSliced(t *testing.T, seed int64, nops int, halt bool) {
+	t.Helper()
+	ops := genScript(rand.New(rand.NewSource(seed)), nops)
+	w := New(seed)
+	dw := runScript[*Event](w, ops)
+	dh := runScript[*refEvent](newRefSim(), ops)
+	if halt {
+		w.Schedule(time.Millisecond, w.Halt)
+		dh.k.Schedule(time.Millisecond, dh.k.Halt)
+	}
+	end := dh.k.Now() + 10*time.Second
+	dh.k.RunUntil(end)
+
+	rng := rand.New(rand.NewSource(seed ^ 0x5EED))
+	for !w.Halted() {
+		next := w.Now() + 1 + Time(rng.Int63n(int64(5*time.Millisecond)))
+		if next > end {
+			next = end
+		}
+		var budget uint64
+		switch rng.Intn(3) {
+		case 0:
+			budget = 1
+		case 1:
+			budget = uint64(1 + rng.Intn(4))
+		default:
+			budget = 1 << 20
+		}
+		if !w.RunUntilBudget(next, budget) && next == end {
+			break
+		}
+	}
+	compareDrivers(t, seed, dw, dh)
+}
+
+func compareDrivers(t *testing.T, seed int64, dw *driver[*Event], dh *driver[*refEvent]) {
+	t.Helper()
 	if len(dw.trace) != len(dh.trace) {
 		t.Fatalf("seed %d: wheel fired %d events, heap fired %d", seed, len(dw.trace), len(dh.trace))
 	}
@@ -204,6 +255,18 @@ func TestDifferentialHeapVsWheel(t *testing.T) {
 func TestDifferentialHeapVsWheelWithHalt(t *testing.T) {
 	for seed := int64(100); seed <= 120; seed++ {
 		diffKernels(t, seed, 200, true)
+	}
+}
+
+func TestDifferentialSlicedBudgetDrain(t *testing.T) {
+	for seed := int64(200); seed <= 240; seed++ {
+		diffSliced(t, seed, 400, false)
+	}
+}
+
+func TestDifferentialSlicedBudgetDrainWithHalt(t *testing.T) {
+	for seed := int64(300); seed <= 320; seed++ {
+		diffSliced(t, seed, 200, true)
 	}
 }
 

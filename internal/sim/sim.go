@@ -482,19 +482,8 @@ func (s *Sim) Run() {
 // RunUntil executes events with At <= deadline, then sets now to deadline
 // (if the queue drained or the next event lies beyond it) and returns. A
 // halted simulator does not advance: its clock stays frozen at the last
-// executed event.
-func (s *Sim) RunUntil(deadline Time) {
-	for !s.halted {
-		en, ok := s.peek(deadline)
-		if !ok || en.at > deadline {
-			break
-		}
-		s.fire(en)
-	}
-	if !s.halted && s.now < deadline {
-		s.now = deadline
-	}
-}
+// executed event. It is RunUntilBudget with an unlimited budget.
+func (s *Sim) RunUntil(deadline Time) { s.RunUntilBudget(deadline, ^uint64(0)) }
 
 // RunUntilBudget is RunUntil with an event budget: it executes at most
 // budget events with At <= deadline and reports whether the budget was
@@ -502,7 +491,7 @@ func (s *Sim) RunUntil(deadline Time) {
 // semantics are exactly RunUntil's (the clock lands on deadline); when it
 // returns true the clock stays at the last executed event so a watchdog
 // can attribute the overrun to a precise virtual instant. A zero-delay
-// event storm — the failure mode a plain RunUntil cannot escape, because
+// event storm — the failure mode an unbudgeted run cannot escape, because
 // the clock never reaches the deadline — is bounded by the budget.
 func (s *Sim) RunUntilBudget(deadline Time, budget uint64) (exhausted bool) {
 	for !s.halted {

@@ -13,82 +13,39 @@ import (
 	"time"
 
 	"voxel/internal/exp"
-	"voxel/internal/qoe"
 	"voxel/internal/trace"
 )
 
 // checkpointVersion gates the file format; a reader refuses any other
-// value rather than guessing.
-const checkpointVersion = 1
+// value rather than guessing. Version 2 fingerprints the whole normalized
+// exp.Config instead of a hand-kept copy of its fields.
+const checkpointVersion = 2
 
-// identity is the canonical description of what a sweep computes: every
-// Config field that changes trial results, and none of the fields that only
-// change how they are executed (shard coordinates, parallelism, interrupt
-// plumbing). Two runs with equal identities produce interchangeable trial
-// records; the fingerprint over this struct is what lets resume and merge
-// refuse a checkpoint written by a different experiment.
+// identity is the canonical description of what a sweep computes: the
+// normalized config — every field that changes trial results, with the
+// execution-only ones (shard coordinates, parallelism, interrupt plumbing)
+// cleared — plus the trace, which the config's JSON leaves out. A trace is
+// recorded by name, a hash of its samples (CSV-loaded traces have no
+// canonical name but still fingerprint exactly), and its ByName key when
+// it is exactly a canonical trace, so voxel-merge can rebuild the config
+// from the file alone. Two runs with equal identities produce
+// interchangeable trial records; the fingerprint over this struct is what
+// lets resume and merge refuse a checkpoint written by a different
+// experiment. Because the config is embedded whole, a new Config field
+// joins the fingerprint without any change here.
 type identity struct {
-	Title          string  `json:"title"`
-	System         string  `json:"system"`
-	BufferSegments int     `json:"buffer_segments"`
-	TraceName      string  `json:"trace_name,omitempty"`
-	TraceHash      string  `json:"trace_hash,omitempty"`
-	TraceCanonical string  `json:"trace_canonical,omitempty"`
-	QueuePackets   int     `json:"queue_packets"`
-	Trials         int     `json:"trials"`
-	Metric         int     `json:"metric"`
-	Segments       int     `json:"segments"`
-	CrossTraffic   float64 `json:"cross_traffic"`
-	LinkCapacity   float64 `json:"link_capacity"`
-	Seed           int64   `json:"seed"`
-	MaxSimTimeNS   int64   `json:"max_sim_time_ns"`
-	CC             string  `json:"cc,omitempty"`
-	Impairment     string  `json:"impairment,omitempty"`
-	Failover       bool    `json:"failover,omitempty"`
-	Telemetry      bool    `json:"telemetry,omitempty"`
-	TimelineCap    int     `json:"timeline_cap,omitempty"`
-	Sessions       int     `json:"sessions,omitempty"`
-	Invariants     bool    `json:"invariants,omitempty"`
-	WatchdogWallNS int64   `json:"watchdog_wall_ns,omitempty"`
-	WatchdogEvents uint64  `json:"watchdog_events,omitempty"`
-	Inject         string  `json:"inject,omitempty"`
+	exp.Config
+	TraceName      string `json:"trace_name,omitempty"`
+	TraceHash      string `json:"trace_hash,omitempty"`
+	TraceCanonical string `json:"trace_canonical,omitempty"`
 }
 
-// identityOf distills a config. The trace contributes its name plus a hash
-// of its samples (CSV-loaded traces have no canonical name but still
-// fingerprint exactly), and its ByName key when it has one so voxel-merge
-// can rebuild the config from the file alone.
-func identityOf(cfg exp.Config) identity {
-	c := cfg.Normalized()
-	id := identity{
-		Title:          c.Title,
-		System:         string(c.System),
-		BufferSegments: c.BufferSegments,
-		QueuePackets:   c.QueuePackets,
-		Trials:         c.Trials,
-		Metric:         int(c.Metric),
-		Segments:       c.Segments,
-		CrossTraffic:   c.CrossTraffic,
-		LinkCapacity:   c.LinkCapacity,
-		Seed:           c.Seed,
-		MaxSimTimeNS:   int64(c.MaxSimTime),
-		CC:             c.CC,
-		Impairment:     c.Impairment,
-		Failover:       c.Failover,
-		Telemetry:      c.Telemetry,
-		TimelineCap:    c.TimelineCap,
-		Sessions:       c.Sessions,
-		Invariants:     c.Invariants,
-		WatchdogWallNS: int64(c.WatchdogWall),
-		WatchdogEvents: c.WatchdogEvents,
-		Inject:         c.Inject,
-	}
-	if c.Trace != nil {
-		id.TraceName = c.Trace.Name()
-		id.TraceHash = hashSamples(c.Trace.Samples())
-		if name, ok := trace.CanonicalName(c.Trace); ok {
-			id.TraceCanonical = name
-		}
+func newIdentity(cfg exp.Config) identity {
+	id := identity{Config: cfg.Normalized()}
+	if t := id.Trace; t != nil {
+		id.TraceName = t.Name()
+		id.TraceHash = hashSamples(t.Samples())
+		id.TraceCanonical, _ = trace.CanonicalName(t)
 	}
 	return id
 }
@@ -109,57 +66,12 @@ func hashSamples(xs []float64) string {
 func (id identity) fingerprint() string {
 	b, err := json.Marshal(id)
 	if err != nil {
-		// identity is all scalars and strings; Marshal cannot fail.
+		// identity is scalars and strings (the trace and interrupt channel
+		// are excluded from the JSON); Marshal cannot fail.
 		panic(err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// config rebuilds an exp.Config from the stored identity. Only traces with
-// a canonical ByName key can be rebuilt; a CSV-loaded trace must be merged
-// in-process where the *trace.Trace is at hand.
-func (id identity) config() (exp.Config, error) {
-	c := exp.Config{
-		Title:          id.Title,
-		System:         exp.System(id.System),
-		BufferSegments: id.BufferSegments,
-		QueuePackets:   id.QueuePackets,
-		Trials:         id.Trials,
-		Metric:         qoe.Metric(id.Metric),
-		Segments:       id.Segments,
-		CrossTraffic:   id.CrossTraffic,
-		LinkCapacity:   id.LinkCapacity,
-		Seed:           id.Seed,
-		MaxSimTime:     time.Duration(id.MaxSimTimeNS),
-		CC:             id.CC,
-		Impairment:     id.Impairment,
-		Failover:       id.Failover,
-		Telemetry:      id.Telemetry,
-		TimelineCap:    id.TimelineCap,
-		Sessions:       id.Sessions,
-		Invariants:     id.Invariants,
-		WatchdogWall:   time.Duration(id.WatchdogWallNS),
-		WatchdogEvents: id.WatchdogEvents,
-		Inject:         id.Inject,
-	}
-	if id.TraceName != "" {
-		if id.TraceCanonical == "" {
-			return exp.Config{}, fmt.Errorf(
-				"sweep: trace %q has no canonical name; merge it in-process with exp.MergeShards",
-				id.TraceName)
-		}
-		tr, err := trace.ByName(id.TraceCanonical)
-		if err != nil {
-			return exp.Config{}, err
-		}
-		if hashSamples(tr.Samples()) != id.TraceHash {
-			return exp.Config{}, fmt.Errorf("sweep: rebuilt trace %q does not match stored hash",
-				id.TraceCanonical)
-		}
-		c.Trace = tr
-	}
-	return c, nil
 }
 
 // trialRecord stores one completed trial's full result.
@@ -201,7 +113,7 @@ type Checkpoint struct {
 // newCheckpoint builds the header for cfg.
 func newCheckpoint(cfg exp.Config, stream bool) *Checkpoint {
 	d := cfg.WithDefaults()
-	id := identityOf(d)
+	id := newIdentity(d)
 	return &Checkpoint{
 		Version:     checkpointVersion,
 		Fingerprint: id.fingerprint(),
@@ -315,7 +227,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // the same mode, i.e. whether its records can be reused.
 func (cp *Checkpoint) matches(cfg exp.Config, stream bool) error {
 	d := cfg.WithDefaults()
-	if got, want := cp.Fingerprint, identityOf(d).fingerprint(); got != want {
+	if got, want := cp.Fingerprint, newIdentity(d).fingerprint(); got != want {
 		return fmt.Errorf("sweep: checkpoint was written by a different experiment (fingerprint %.12s, want %.12s)", got, want)
 	}
 	if sh := (Shard{Index: d.ShardIndex, Count: d.ShardCount}); cp.Shard != sh {
@@ -371,9 +283,25 @@ func (cp *Checkpoint) Aggregate() (*exp.Aggregate, error) {
 	if cp.Stream {
 		return nil, fmt.Errorf("sweep: streaming checkpoint has no per-trial aggregate")
 	}
-	cfg, err := cp.Config.config()
-	if err != nil {
-		return nil, err
+	id := cp.Config
+	cfg := id.Config
+	if id.TraceName != "" {
+		// Only a trace with a canonical ByName key can be rebuilt; a
+		// CSV-loaded or shifted trace must be merged in-process, where the
+		// *trace.Trace is at hand.
+		if id.TraceCanonical == "" {
+			return nil, fmt.Errorf(
+				"sweep: trace %q has no canonical name; merge it in-process with exp.MergeShards",
+				id.TraceName)
+		}
+		tr, err := trace.ByName(id.TraceCanonical)
+		if err != nil {
+			return nil, err
+		}
+		if hashSamples(tr.Samples()) != id.TraceHash {
+			return nil, fmt.Errorf("sweep: rebuilt trace %q does not match stored hash", id.TraceCanonical)
+		}
+		cfg.Trace = tr
 	}
 	cfg.ShardIndex, cfg.ShardCount = cp.Shard.Index, cp.Shard.Count
 	if err := cp.complete(); err != nil {
@@ -383,7 +311,7 @@ func (cp *Checkpoint) Aggregate() (*exp.Aggregate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exp.AssembleQuiet(cfg, trials, fails), nil
+	return exp.Assemble(cfg, trials, fails), nil
 }
 
 // complete verifies the checkpoint covers every trial its shard owns.

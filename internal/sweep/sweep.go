@@ -9,12 +9,12 @@ import (
 
 // Options selects the engine's execution mode around a config.
 type Options struct {
-	// Checkpoint is the state file path; empty disables checkpointing and
-	// resume. If the file exists and matches the config (fingerprint,
-	// shard, mode), its finished trials are restored and skipped; a
-	// mismatched file is an error, never silently recomputed over. The
-	// final checkpoint of a finished run is the shard's output file —
-	// feed it to voxel-merge.
+	// Checkpoint is the state file path; empty means no checkpoint and no
+	// resume — the sweep runs start to finish in memory. If the file
+	// exists and matches the config (fingerprint, shard, mode), its
+	// finished trials are restored and skipped; a mismatched file is an
+	// error, never silently recomputed over. The final checkpoint of a
+	// finished run is the shard's output file — feed it to voxel-merge.
 	Checkpoint string
 	// Every writes a checkpoint after every N completed trials (default 1,
 	// i.e. after each trial). The write is atomic, so a kill between
@@ -70,6 +70,7 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 		trials []exp.Trial
 		fails  []*exp.TrialError
 		sk     *StreamAgg
+		cp     *Checkpoint
 		res    Result
 	)
 	if opts.Stream {
@@ -79,8 +80,8 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 		fails = make([]*exp.TrialError, d.Trials)
 	}
 
-	cp := newCheckpoint(d, opts.Stream)
 	if opts.Checkpoint != "" {
+		cp = newCheckpoint(d, opts.Stream)
 		prev, err := LoadCheckpoint(opts.Checkpoint)
 		switch {
 		case os.IsNotExist(err):
@@ -112,10 +113,6 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 			res.Restored = len(done)
 		}
 	}
-	restored := make(map[int]bool, len(done))
-	for ti := range done {
-		restored[ti] = true
-	}
 
 	sinceWrite := 0
 	var writeErr error
@@ -129,23 +126,17 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 		done[ti] = true
 		res.Ran++
 		sinceWrite++
-		if opts.Checkpoint != "" && sinceWrite >= opts.Every && writeErr == nil {
+		if cp != nil && sinceWrite >= opts.Every && writeErr == nil {
 			cp.capture(done, trials, fails, sk)
 			writeErr = cp.WriteFile(opts.Checkpoint)
 			sinceWrite = 0
 		}
 	}
-	skip := func(ti int) bool { return done[ti] }
-
-	if opts.Stream {
-		exp.RunStream(d, skip, onTrial)
-	} else {
-		exp.RunPartial(d, skip, onTrial)
-	}
+	exp.RunPartial(d, func(ti int) bool { return done[ti] }, onTrial)
 	if writeErr != nil {
 		return Result{}, fmt.Errorf("sweep: checkpoint write failed mid-run: %w", writeErr)
 	}
-	if opts.Checkpoint != "" && (sinceWrite > 0 || res.Ran == 0) {
+	if cp != nil && (sinceWrite > 0 || res.Ran == 0) {
 		// Final write so the file always reflects the finished state (and
 		// a fully-restored run still refreshes the output file).
 		cp.capture(done, trials, fails, sk)
@@ -156,18 +147,8 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 
 	if opts.Stream {
 		res.Stream = sk
-		return res, nil
-	}
-	// Assemble without the hook side effect, then report only the failures
-	// that happened in this process: restored failures were already
-	// reported by the run that produced them.
-	res.Agg = exp.AssembleQuiet(d, trials, fails)
-	if exp.FailureHook != nil {
-		for ti, te := range fails {
-			if te != nil && !restored[ti] {
-				exp.FailureHook(te)
-			}
-		}
+	} else {
+		res.Agg = exp.Assemble(d, trials, fails)
 	}
 	return res, nil
 }

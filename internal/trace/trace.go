@@ -17,6 +17,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"voxel/internal/sim"
@@ -221,7 +222,7 @@ const defaultSeconds = 600
 // trace: mean 10 Mbps, stddev ≈ 9–10 Mbps, frequent deep outages.
 func TMobile() *Trace {
 	t := generate("tmobile-lte", defaultSeconds, genParams{
-		mean:      10 * Mbps,
+		mean: 10 * Mbps,
 		// LTE rates mix quickly: regimes hold ≈1 s, so the per-second
 		// stddev is huge while multi-second window averages stay usable —
 		// the structure the Mahimahi recordings show.
@@ -241,7 +242,7 @@ func TMobile() *Trace {
 // T-Mobile.
 func Verizon() *Trace {
 	t := generate("verizon-lte", defaultSeconds, genParams{
-		mean:      10 * Mbps,
+		mean:        10 * Mbps,
 		regimes:     []float64{0.45, 0.7, 1.0, 1.5, 3.1},
 		holdMean:    1.5,
 		noiseFrac:   0.08,
@@ -392,9 +393,18 @@ var canonicalByInternal = map[string]string{
 }
 
 // CanonicalName returns the ByName key that rebuilds this trace; ok is
-// false for traces outside the canonical set (constant, step, Riiser,
-// shifted copies).
+// false for traces outside the canonical set (constant, step, Riiser) and
+// for any copy whose samples differ from the canonical trace's — Shifted
+// and OffsetToMean keep the name, so the name alone cannot tell a shifted
+// copy from the original.
 func CanonicalName(t *Trace) (string, bool) {
 	name, ok := canonicalByInternal[t.name]
-	return name, ok
+	if !ok {
+		return "", false
+	}
+	ref, err := ByName(name)
+	if err != nil || !slices.Equal(ref.samples, t.samples) {
+		return "", false
+	}
+	return name, true
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"voxel/internal/exp"
 	"voxel/internal/sweep"
 )
 
@@ -250,16 +249,11 @@ func (s *Session) Run() (*Aggregate, *Report, error) {
 		}
 		cfg.Interrupt = s.ctx.Done()
 	}
-	var agg *Aggregate
-	if s.ckPath != "" {
-		res, err := sweep.Run(cfg, sweep.Options{Checkpoint: s.ckPath, Every: s.ckEvery})
-		if err != nil {
-			return nil, nil, err
-		}
-		agg = res.Agg
-	} else {
-		agg = exp.Run(cfg)
+	res, err := sweep.Run(cfg, sweep.Options{Checkpoint: s.ckPath, Every: s.ckEvery})
+	if err != nil {
+		return nil, nil, err
 	}
+	agg := res.Agg
 	if s.ctx != nil && s.ctx.Err() != nil {
 		return agg, agg.Obs, s.ctx.Err()
 	}
