@@ -14,12 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"voxel"
-	"voxel/internal/stats"
 	"voxel/internal/sweep"
 )
 
@@ -48,7 +46,7 @@ func main() {
 	} else {
 		printAggregate(m.Agg, len(files))
 		if m.Agg.Obs != nil {
-			if err := exportTelemetry(m.Agg.Obs, *telemetryOut, *telemetryCSV); err != nil {
+			if err := m.Agg.Obs.WriteFiles(*telemetryOut, *telemetryCSV, os.Stdout); err != nil {
 				fatal(err)
 			}
 		} else if *telemetryOut != "" || *telemetryCSV != "" {
@@ -74,61 +72,9 @@ func printAggregate(agg *voxel.Aggregate, files int) {
 	cfg := agg.Config
 	fmt.Printf("merged %d shard file(s): %s / %s, %d trials\n",
 		files, cfg.System, cfg.Title, len(agg.Trials))
-	if len(agg.Failed) > 0 {
-		fmt.Printf("\n%d of %d trials FAILED:\n", len(agg.Failed), len(agg.Trials))
-		for i := range agg.Failed {
-			te := &agg.Failed[i]
-			fmt.Printf("  trial %d (seed %d) at virtual %v: %s — %s\n",
-				te.Trial, te.Seed, te.Clock, te.Rule, te.Msg)
-			fmt.Printf("    replay: %s\n", te.ReplayCommand())
-		}
-	}
-	fmt.Printf("\n%-26s %v\n", "trials:", len(agg.Trials))
-	fmt.Printf("%-26s %.2f%%\n", "bufRatio (p90):", 100*agg.BufRatioP90())
-	fmt.Printf("%-26s %.2f%%\n", "bufRatio (mean):", 100*agg.BufRatioMean())
-	fmt.Printf("%-26s %.2f Mbps\n", "avg bitrate:", agg.BitrateMean()/1e6)
-	cdf := agg.ScoreCDF()
-	fmt.Printf("%-26s p10=%.4f median=%.4f p90=%.4f\n", cfg.Metric.String()+" scores:",
-		cdf.Quantile(0.1), cdf.Quantile(0.5), cdf.Quantile(0.9))
-	var skipped, residual, startup []float64
-	for _, t := range agg.Trials {
-		skipped = append(skipped, t.Skipped)
-		residual = append(residual, t.Residual)
-		startup = append(startup, t.StartupDelay.Seconds())
-	}
-	fmt.Printf("%-26s %.2f%%\n", "data skipped (mean):", 100*stats.Mean(skipped))
-	fmt.Printf("%-26s %.2f%%\n", "residual loss (mean):", 100*stats.Mean(residual))
-	fmt.Printf("%-26s %.2f s\n", "startup delay (mean):", stats.Mean(startup))
-}
-
-// exportTelemetry mirrors voxel-sim's export helper ("" = skip, "-" =
-// stdout).
-func exportTelemetry(report *voxel.Report, jsonlPath, csvPath string) error {
-	write := func(path string, emit func(w io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if path == "-" {
-			return emit(os.Stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", path)
-		return nil
-	}
-	if err := write(jsonlPath, report.WriteJSONL); err != nil {
-		return err
-	}
-	return write(csvPath, report.WriteCSV)
+	fmt.Print(agg.FailureReport())
+	fmt.Println()
+	fmt.Print(agg.Summary())
 }
 
 func fatal(err error) {

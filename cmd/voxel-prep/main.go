@@ -33,15 +33,8 @@ func main() {
 		v.Segments = *segments
 	}
 	var metric qoe.Metric
-	switch *metricName {
-	case "ssim":
-		metric = qoe.SSIM
-	case "vmaf":
-		metric = qoe.VMAF
-	case "psnr":
-		metric = qoe.PSNR
-	default:
-		fatal(fmt.Errorf("unknown metric %q", *metricName))
+	if err := metric.UnmarshalText([]byte(*metricName)); err != nil {
+		fatal(err)
 	}
 
 	a := prep.NewAnalyzer()

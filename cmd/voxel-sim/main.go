@@ -19,17 +19,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
-	"voxel"
 	"voxel/internal/chaos"
 	"voxel/internal/exp"
 	"voxel/internal/profiling"
-	"voxel/internal/repro"
 	"voxel/internal/stats"
 	"voxel/internal/sweep"
 )
@@ -39,23 +35,7 @@ import (
 var stopProfiles = func() {}
 
 func main() {
-	title := flag.String("title", "BBB", "video title")
-	system := flag.String("system", "VOXEL", "system: BOLA/Q, BOLA/Q*, MPC/Q, MPC/Q*, Tput/Q, Tput/Q*, BETA, BOLA-SSIM, VOXEL, VOXEL-rel, VOXEL-untuned")
-	traceName := flag.String("trace", "verizon", "trace: tmobile, verizon, att, 3g, fcc, wild")
-	buffer := flag.Int("buffer", 3, "playback buffer in segments")
-	trials := flag.Int("trials", 10, "trials (paper: 30)")
-	segments := flag.Int("segments", 0, "limit segment count (0 = full 75)")
-	metricName := flag.String("metric", "ssim", "QoE metric: ssim, vmaf, psnr")
-	queue := flag.Int("queue", 32, "router queue in packets (750 = long-queue appendix)")
-	cross := flag.Float64("cross", 0, "cross-traffic load in Mbps over a 20 Mbps link (replaces the trace)")
-	seed := flag.Int64("seed", 1, "random seed")
-	impair := flag.String("impair", "", "impairment profile: clean, bursty, flaky-wifi, handover-blackout")
-	failover := flag.Bool("failover", false,
-		"add a second origin and permanently blackhole the primary path mid-stream")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"concurrent trial workers (1 = sequential; results are identical either way)")
-	sessions := flag.Int("sessions", 1,
-		"concurrent video sessions per trial sharing one bottleneck (swarm mode)")
+	config := exp.RegisterFlags(flag.CommandLine)
 	swarm := flag.Bool("swarm", false,
 		"print the per-session swarm breakdown (fairness, utilization); implied by -sessions > 1")
 	telemetry := flag.Bool("telemetry", false,
@@ -64,12 +44,6 @@ func main() {
 		"write the telemetry timeline as JSONL to this file (- = stdout); implies -telemetry")
 	telemetryCSV := flag.String("telemetry-csv", "",
 		"write per-trial telemetry counters as CSV to this file (- = stdout); implies -telemetry")
-	invariants := flag.Bool("invariants", false,
-		"arm the cross-layer invariant checker; a violation fails the trial with a replayable error")
-	inject := flag.String("inject", "",
-		"schedule a deliberate fault: panic, invariant, or spin, optionally @trial (tests the failure pipeline)")
-	shardSpec := flag.String("shard", "",
-		"run only shard i of an n-way campaign (\"i/n\", e.g. 0/4); fold the shard outputs with voxel-merge")
 	checkpointPath := flag.String("checkpoint", "",
 		"resumable state file: finished trials restore from it, new ones append atomically; the finished file is the shard output voxel-merge consumes")
 	checkpointEvery := flag.Int("checkpoint-every", 1,
@@ -84,15 +58,25 @@ func main() {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	shard, err := validateFlags(set, *shardSpec)
-	if err != nil {
+	if err := validateFlags(set); err != nil {
 		fatal(err)
 	}
 	if *reproPath != "" {
 		os.Exit(runRepro(*reproPath))
 	}
-	if *sessions < 1 || *sessions > exp.MaxSessions {
-		fatal(fmt.Errorf("-sessions %d out of range [1, %d]", *sessions, exp.MaxSessions))
+	cfg, err := config()
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Telemetry = *telemetry || *telemetryOut != "" || *telemetryCSV != ""
+	if cfg.Invariants || cfg.Inject != "" {
+		// Hardened runs also get the trial watchdog, so a wedged trial (e.g.
+		// -inject spin's zero-delay event storm) fails with a replayable
+		// TrialError instead of hanging the process.
+		cfg.WatchdogWall, cfg.WatchdogEvents = exp.DefaultWatchdogWall, exp.DefaultWatchdogEvents
+	}
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
 	}
 
 	stop, err := profiling.Start(*cpuprofile, *memprofile)
@@ -106,97 +90,36 @@ func main() {
 	}
 	defer stopProfiles()
 
-	var metric voxel.Metric
-	switch *metricName {
-	case "ssim":
-		metric = voxel.SSIM
-	case "vmaf":
-		metric = voxel.VMAF
-	case "psnr":
-		metric = voxel.PSNR
-	default:
-		fatal(fmt.Errorf("unknown metric %q", *metricName))
-	}
-
-	opts := []voxel.Option{
-		voxel.WithSystem(voxel.System(*system)),
-		voxel.WithBuffer(*buffer),
-		voxel.WithTrials(*trials),
-		voxel.WithSegments(*segments),
-		voxel.WithMetric(metric),
-		voxel.WithQueue(*queue),
-		voxel.WithSeed(*seed),
-		voxel.WithParallelism(*parallel),
-		voxel.WithSessions(*sessions),
-	}
-	if *sessions > 1 {
-		*swarm = true
-	}
-	if *shardSpec != "" {
-		opts = append(opts, voxel.WithShard(shard.Index, shard.Count))
-	}
-	if *checkpointPath != "" && !*stream {
-		// In streaming mode the checkpoint is handed to sweep.Run directly.
-		opts = append(opts, voxel.WithCheckpoint(*checkpointPath, *checkpointEvery))
-	}
-	if *impair != "" {
-		opts = append(opts, voxel.WithImpairment(*impair))
-	}
-	if *failover {
-		opts = append(opts, voxel.WithFailover())
-	}
-	if *telemetry || *telemetryOut != "" || *telemetryCSV != "" {
-		*telemetry = true
-		opts = append(opts, voxel.WithTelemetry())
-	}
-	if *invariants {
-		opts = append(opts, voxel.WithInvariants())
-	}
-	if *inject != "" {
-		opts = append(opts, voxel.WithInject(*inject))
-	}
-	if *invariants || *inject != "" {
-		// Hardened runs also get the trial watchdog, so a wedged trial (e.g.
-		// -inject spin's zero-delay event storm) fails with a replayable
-		// TrialError instead of hanging the process.
-		opts = append(opts, voxel.WithWatchdog(exp.DefaultWatchdogWall, exp.DefaultWatchdogEvents))
-	}
-	if *cross > 0 {
-		opts = append(opts, voxel.WithCrossTraffic(*cross*1e6, 20e6))
-		fmt.Printf("%s streaming %s against %.0f Mbps cross traffic (20 Mbps link), %d-segment buffer\n",
-			*system, *title, *cross, *buffer)
-	} else {
-		tr, err := voxel.LoadTrace(*traceName)
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, voxel.WithTrace(tr))
+	if tr := cfg.Trace; tr != nil {
 		fmt.Printf("%s streaming %s over %s (mean %.1f Mbps, stddev %.1f Mbps), %d-segment buffer\n",
-			*system, *title, tr.Name(), tr.Mean()/1e6, tr.StdDev()/1e6, *buffer)
+			cfg.System, cfg.Title, tr.Name(), tr.Mean()/1e6, tr.StdDev()/1e6, cfg.BufferSegments)
+	} else {
+		fmt.Printf("%s streaming %s against %.0f Mbps cross traffic (%.0f Mbps link), %d-segment buffer\n",
+			cfg.System, cfg.Title, cfg.CrossTraffic/1e6, cfg.LinkCapacity/1e6, cfg.BufferSegments)
 	}
-	if *impair != "" {
-		fmt.Printf("impairment profile: %s\n", *impair)
+	if cfg.Impairment != "" {
+		fmt.Printf("impairment profile: %s\n", cfg.Impairment)
 	}
-	if *failover {
+	if cfg.Failover {
 		fmt.Printf("failover scenario: primary path dies at %v, second origin takes over\n",
 			exp.FailoverKillTime)
 	}
-	if *shardSpec != "" {
-		fmt.Printf("shard %s: running %d of %d trials\n", shard, shardTrials(shard, *trials), *trials)
+	shard := sweep.Shard{Index: cfg.ShardIndex, Count: cfg.ShardCount}
+	if shard.Count > 0 {
+		fmt.Printf("shard %s: running %d of %d trials\n", shard, shardTrials(shard, cfg.Trials), cfg.Trials)
 	}
 
-	sess := voxel.New(*title, opts...)
+	res, err := sweep.Run(cfg, sweep.Options{
+		Checkpoint: *checkpointPath, Every: *checkpointEvery, Stream: *stream,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	if res.Restored > 0 {
+		fmt.Printf("restored %d finished trials from %s (%d run now)\n",
+			res.Restored, *checkpointPath, res.Ran)
+	}
 	if *stream {
-		res, err := sweep.Run(sess.Config(), sweep.Options{
-			Checkpoint: *checkpointPath, Every: *checkpointEvery, Stream: true,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if res.Restored > 0 {
-			fmt.Printf("restored %d finished trials from %s (%d run now)\n",
-				res.Restored, *checkpointPath, res.Ran)
-		}
 		fmt.Println()
 		fmt.Print(res.Stream.Summary())
 		if res.Stream.Failed > 0 {
@@ -206,59 +129,23 @@ func main() {
 		return
 	}
 
-	agg, report, err := sess.Run()
-	if err != nil {
-		fatal(err)
-	}
-	reportFailures(agg)
+	agg, report := res.Agg, res.Agg.Obs
+	fmt.Print(agg.FailureReport())
 
-	fmt.Printf("\n%-26s %v\n", "trials:", len(agg.Trials))
-	fmt.Printf("%-26s %.2f%%\n", "bufRatio (p90):", 100*agg.BufRatioP90())
-	fmt.Printf("%-26s %.2f%%\n", "bufRatio (mean):", 100*agg.BufRatioMean())
-	fmt.Printf("%-26s %.2f Mbps\n", "avg bitrate:", agg.BitrateMean()/1e6)
-	cdf := agg.ScoreCDF()
-	fmt.Printf("%-26s p10=%.4f median=%.4f p90=%.4f\n", metric.String()+" scores:",
-		cdf.Quantile(0.1), cdf.Quantile(0.5), cdf.Quantile(0.9))
-	var skipped, residual, startup []float64
-	for ti, t := range agg.Trials {
-		if !agg.Config.Owns(ti) {
-			continue // sharded run: unowned slots are zero-valued
-		}
-		skipped = append(skipped, t.Skipped)
-		residual = append(residual, t.Residual)
-		startup = append(startup, t.StartupDelay.Seconds())
-	}
-	fmt.Printf("%-26s %.2f%%\n", "data skipped (mean):", 100*stats.Mean(skipped))
-	fmt.Printf("%-26s %.2f%%\n", "residual loss (mean):", 100*stats.Mean(residual))
-	fmt.Printf("%-26s %.2f s\n", "startup delay (mean):", stats.Mean(startup))
-	if *impair != "" || *failover {
-		var failed float64
-		owned, incomplete := 0, 0
-		for ti, t := range agg.Trials {
-			if !agg.Config.Owns(ti) {
-				continue
-			}
-			owned++
-			failed += float64(t.FailedReqs)
-			if !t.Completed {
-				incomplete++
-			}
-		}
-		fmt.Printf("%-26s %.1f\n", "failed requests (mean):", failed/float64(owned))
-		fmt.Printf("%-26s %d/%d\n", "incomplete trials:", incomplete, owned)
-	}
+	fmt.Println()
+	fmt.Print(agg.Summary())
 
-	if *swarm {
+	if *swarm || cfg.Sessions > 1 {
 		printSwarm(agg)
 	}
 
-	if *telemetry {
+	if cfg.Telemetry {
 		fmt.Println()
 		fmt.Print(report.Summary())
 		if kinds := report.KindCounts(); len(kinds) > 0 {
 			fmt.Printf("timeline events: %s\n", strings.Join(kinds, " "))
 		}
-		if err := exportTelemetry(report, *telemetryOut, *telemetryCSV); err != nil {
+		if err := report.WriteFiles(*telemetryOut, *telemetryCSV, os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
@@ -268,37 +155,15 @@ func main() {
 	}
 }
 
-// reportFailures prints every failed trial with its replay command. The
-// surviving trials' statistics still print below; main exits nonzero at
-// the end when anything failed.
-func reportFailures(agg *voxel.Aggregate) {
-	if len(agg.Failed) == 0 {
-		return
-	}
-	fmt.Printf("\n%d of %d trials FAILED:\n", len(agg.Failed), len(agg.Trials))
-	for i := range agg.Failed {
-		te := &agg.Failed[i]
-		fmt.Printf("  trial %d (seed %d) at virtual %v: %s\n    %s\n",
-			te.Trial, te.Seed, te.Clock, te.Rule, te.Msg)
-		if te.Stack != "" {
-			fmt.Printf("    stack:\n")
-			for _, line := range strings.Split(strings.TrimRight(te.Stack, "\n"), "\n") {
-				fmt.Printf("      %s\n", line)
-			}
-		}
-		fmt.Printf("    replay: %s\n", te.ReplayCommand())
-	}
-}
-
 // runRepro replays a crash artifact and returns the process exit code:
 // 0 when the recorded violation reproduces, 1 otherwise.
 func runRepro(path string) int {
-	a, err := repro.Load(path)
+	a, err := exp.LoadArtifact(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "voxel-sim:", err)
 		return 1
 	}
-	fmt.Printf("replaying %s: %s/%s trial %d seed %d", path, a.Title, a.System, a.Trial, a.Seed)
+	fmt.Printf("replaying %s: %s/%s trial %d seed %d", path, a.Config.Title, a.Config.System, a.Trial, a.Config.Seed)
 	if a.Violation != "" {
 		fmt.Printf(" (expecting %s)", a.Violation)
 	}
@@ -324,7 +189,7 @@ func runRepro(path string) int {
 
 // printSwarm renders the per-session breakdown: fairness and utilization
 // summaries plus one row per session index averaged across trials.
-func printSwarm(agg *voxel.Aggregate) {
+func printSwarm(agg *exp.Aggregate) {
 	n := 0
 	for _, t := range agg.Trials {
 		if len(t.Sessions) > n {
@@ -356,39 +221,9 @@ func printSwarm(agg *voxel.Aggregate) {
 	}
 }
 
-// exportTelemetry writes the JSONL timeline and/or the per-trial counter CSV
-// to the given destinations ("" = skip, "-" = stdout).
-func exportTelemetry(report *voxel.Report, jsonlPath, csvPath string) error {
-	write := func(path string, emit func(w io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if path == "-" {
-			return emit(os.Stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", path)
-		return nil
-	}
-	if err := write(jsonlPath, report.WriteJSONL); err != nil {
-		return err
-	}
-	return write(csvPath, report.WriteCSV)
-}
-
 // validateFlags enforces the cross-flag constraints given the set of flags
-// explicitly present on the command line, and parses the -shard spec. It
-// returns the parsed shard (Unsharded when -shard was not given).
+// explicitly present on the command line. A malformed -shard spec is the
+// config flag table's to reject.
 //
 //   - -repro replays exactly what the artifact describes, so every sweep
 //     flag alongside it (including -shard, -checkpoint, -stream) would be
@@ -398,7 +233,7 @@ func exportTelemetry(report *voxel.Report, jsonlPath, csvPath string) error {
 //     retained trials (-telemetry and its exports, the -swarm breakdown)
 //     are contradictions, not no-ops.
 //   - -checkpoint-every without -checkpoint silently does nothing; reject.
-func validateFlags(set map[string]bool, shardSpec string) (sweep.Shard, error) {
+func validateFlags(set map[string]bool) error {
 	if set["repro"] {
 		var conflicts []string
 		for name := range set {
@@ -410,26 +245,21 @@ func validateFlags(set map[string]bool, shardSpec string) (sweep.Shard, error) {
 		}
 		if len(conflicts) > 0 {
 			sort.Strings(conflicts)
-			return sweep.Shard{}, fmt.Errorf(
-				"-repro replays the artifact's own configuration; drop %s",
+			return fmt.Errorf("-repro replays the artifact's own configuration; drop %s",
 				strings.Join(conflicts, ", "))
 		}
 	}
 	if set["stream"] {
 		for _, bad := range []string{"telemetry", "telemetry-out", "telemetry-csv", "swarm"} {
 			if set[bad] {
-				return sweep.Shard{}, fmt.Errorf(
-					"-stream discards per-trial results as it folds them; it cannot honor -%s", bad)
+				return fmt.Errorf("-stream discards per-trial results as it folds them; it cannot honor -%s", bad)
 			}
 		}
 	}
 	if set["checkpoint-every"] && !set["checkpoint"] {
-		return sweep.Shard{}, fmt.Errorf("-checkpoint-every does nothing without -checkpoint")
+		return fmt.Errorf("-checkpoint-every does nothing without -checkpoint")
 	}
-	if shardSpec == "" {
-		return sweep.Shard{}, nil
-	}
-	return sweep.ParseShard(shardSpec)
+	return nil
 }
 
 // shardTrials counts the trials shard s owns out of a total of n.

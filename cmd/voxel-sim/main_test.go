@@ -1,15 +1,18 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
+	"voxel/internal/exp"
 	"voxel/internal/sweep"
 )
 
 // The cross-flag constraints: -repro excludes every sweep flag, -stream
 // excludes the flags that need retained per-trial results, -checkpoint-every
-// needs -checkpoint, and malformed -shard specs are rejected up front.
+// needs -checkpoint, and the config flag table rejects malformed -shard
+// specs.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -62,7 +65,11 @@ func TestValidateFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			got, err := validateFlags(set, tc.shard)
+			err := validateFlags(set)
+			var got sweep.Shard
+			if err == nil && tc.shard != "" {
+				got, err = parseShard(tc.shard)
+			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("got err %v, want substring %q", err, tc.wantErr)
@@ -77,6 +84,18 @@ func TestValidateFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parseShard parses a -shard spec the way main does: through the config
+// flag table.
+func parseShard(spec string) (sweep.Shard, error) {
+	fs := flag.NewFlagSet("voxel-sim", flag.ContinueOnError)
+	config := exp.RegisterFlags(fs)
+	if err := fs.Parse([]string{"-shard", spec}); err != nil {
+		return sweep.Shard{}, err
+	}
+	cfg, err := config()
+	return sweep.Shard{Index: cfg.ShardIndex, Count: cfg.ShardCount}, err
 }
 
 // shardTrials partitions the trial count exactly: the owned counts of a

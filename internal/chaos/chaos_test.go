@@ -1,19 +1,22 @@
 package chaos
 
 import (
+	"flag"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
-	"voxel/internal/repro"
+	"voxel/internal/exp"
+	"voxel/internal/trace"
 )
 
 // The tuple generator is the campaign's determinism root: one seed, one
 // sequence of artifacts.
 func TestRandomArtifactDeterministic(t *testing.T) {
-	draw := func() []*repro.Artifact {
+	draw := func() []*exp.Artifact {
 		rng := rand.New(rand.NewSource(99))
-		out := make([]*repro.Artifact, 8)
+		out := make([]*exp.Artifact, 8)
 		for i := range out {
 			out[i] = RandomArtifact(rng)
 		}
@@ -26,7 +29,7 @@ func TestRandomArtifactDeterministic(t *testing.T) {
 		}
 	}
 	for _, art := range a {
-		if art.Title == "" || art.System == "" || art.Seed == 0 {
+		if c := art.Config; c.Title == "" || c.System == "" || c.Seed == 0 {
 			t.Fatalf("degenerate tuple: %+v", art)
 		}
 	}
@@ -36,31 +39,33 @@ func TestRandomArtifactDeterministic(t *testing.T) {
 // impairment, swarm, the sweep, clip length, seed — because the deliberate
 // fault reproduces under all of them; and the whole walk is deterministic.
 func TestShrinkInjectedFailure(t *testing.T) {
-	big := &repro.Artifact{
-		Title:      "BBB",
-		System:     "VOXEL",
-		Trace:      "verizon",
-		Segments:   8,
-		Trials:     2,
-		Trial:      1,
-		Seed:       5,
-		Sessions:   2,
-		Impairment: "bursty",
-		Failover:   true,
-		Inject:     "invariant",
-		Violation:  "exp.injected-fault",
+	big := &exp.Artifact{
+		Document: exp.NewDocument(exp.Config{
+			Title:      "BBB",
+			System:     exp.SysVoxel,
+			Trace:      trace.Verizon(),
+			Segments:   8,
+			Trials:     2,
+			Seed:       5,
+			Sessions:   2,
+			Impairment: "bursty",
+			Failover:   true,
+			Inject:     "invariant",
+		}),
+		Trial:     1,
+		Violation: "exp.injected-fault",
 	}
 	if ok, _, err := Reproduces(big); err != nil || !ok {
 		t.Fatalf("big artifact does not fail (ok=%v err=%v)", ok, err)
 	}
 	small := Shrink(big, nil)
-	if small.Failover || small.Impairment != "" || small.Sessions != 1 {
+	if c := small.Config; c.Failover || c.Impairment != "" || c.Sessions != 1 {
 		t.Fatalf("riding dimensions not stripped: %+v", small)
 	}
-	if small.Trials != 1 || small.Trial != 0 {
+	if small.Config.Trials != 1 || small.Trial != 0 {
 		t.Fatalf("sweep not collapsed: %+v", small)
 	}
-	if small.Segments > 2 || small.Seed != 1 {
+	if small.Config.Segments > 2 || small.Config.Seed != 1 {
 		t.Fatalf("clip/seed not minimized: %+v", small)
 	}
 	if ok, te, err := Reproduces(small); err != nil || !ok {
@@ -73,9 +78,9 @@ func TestShrinkInjectedFailure(t *testing.T) {
 
 // The committed known-good artifact must keep reproducing its recorded
 // violation — this is the regression test for the whole artifact pipeline
-// (Load → ConfigFromArtifact → armed run → rule match).
+// (LoadArtifact → ReplayConfig → armed run → rule match).
 func TestCommittedArtifactReproduces(t *testing.T) {
-	a, err := repro.Load("../../testdata/repro/injected-invariant.json")
+	a, err := exp.LoadArtifact("../../testdata/repro/injected-invariant.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +98,54 @@ func TestCommittedArtifactReproduces(t *testing.T) {
 
 // A healthy artifact neither fails nor reports reproduction.
 func TestReproducesCleanArtifact(t *testing.T) {
-	a := &repro.Artifact{
-		Title: "BBB", System: "VOXEL", Trace: "verizon",
+	a := &exp.Artifact{Document: exp.NewDocument(exp.Config{
+		Title: "BBB", System: exp.SysVoxel, Trace: trace.Verizon(),
 		Segments: 4, Trials: 1, Seed: 1,
-	}
+	})}
 	ok, te, err := Reproduces(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok || te != nil {
 		t.Fatalf("clean artifact reported a failure: %+v", te)
+	}
+}
+
+// voxel-sim's flag table round-trips: a fuzz config, cut down to what flags
+// can express, parses back from its replay command to the same config.
+func TestReplayCommandRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		a := RandomArtifact(rng)
+		c, err := a.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Keep only what flags can express.
+		c.CC, c.MaxSimTime = "", 0
+		if c.CrossTraffic > 0 {
+			c.LinkCapacity = 20e6
+		}
+		te := &exp.TrialError{Config: c, Rule: "panic"}
+		cmd := te.ReplayCommand()
+		if strings.Contains(cmd, "#") {
+			t.Fatalf("tuple %d: expressible config replays with a comment: %s", i, cmd)
+		}
+		args := strings.Fields(strings.TrimPrefix(cmd, "go run ./cmd/voxel-sim"))
+		for j, arg := range args {
+			args[j] = strings.Trim(arg, "'") // shell quoting; no value holds a quote
+		}
+		fs := flag.NewFlagSet("voxel-sim", flag.ContinueOnError)
+		config := exp.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("tuple %d: %s: %v", i, cmd, err)
+		}
+		got, err := config()
+		if err != nil {
+			t.Fatalf("tuple %d: %s: %v", i, cmd, err)
+		}
+		if want := exp.NewDocument(c); !reflect.DeepEqual(exp.NewDocument(got), want) {
+			t.Fatalf("tuple %d: %s parses to\n%+v\nwant\n%+v", i, cmd, exp.NewDocument(got), want)
+		}
 	}
 }

@@ -8,6 +8,8 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -58,53 +60,53 @@ func Systems() []System {
 
 // Config specifies one experiment cell.
 type Config struct {
-	Title          string
-	System         System
-	BufferSegments int
-	// Trace is left out of the JSON encoding: the sweep checkpoint
-	// fingerprints it by name and sample hash instead.
+	Title          string `json:"title,omitempty"`
+	System         System `json:"system,omitempty"`
+	BufferSegments int    `json:"buffer_segments,omitempty"`
+	// Trace is left out of the JSON encoding: a Document carries it as a
+	// TraceRef instead.
 	Trace        *trace.Trace `json:"-"`
-	QueuePackets int
-	Trials       int
-	Metric       qoe.Metric
+	QueuePackets int          `json:"queue_packets,omitempty"`
+	Trials       int          `json:"trials,omitempty"`
+	Metric       qoe.Metric   `json:"metric,omitempty"`
 	// Segments limits the clip length (0 = the full 75 segments).
-	Segments int
+	Segments int `json:"segments,omitempty"`
 	// CrossTraffic offers this much competing load (bps) through a fixed
 	// LinkCapacity link instead of the trace (§5.1 cross-traffic trials).
-	CrossTraffic float64
-	LinkCapacity float64
-	Seed         int64
+	CrossTraffic float64 `json:"cross_traffic,omitempty"`
+	LinkCapacity float64 `json:"link_capacity,omitempty"`
+	Seed         int64   `json:"seed,omitempty"`
 	// MaxSimTime bounds one trial's virtual time (default 20× media).
-	MaxSimTime time.Duration
+	MaxSimTime time.Duration `json:"max_sim_time,omitempty"`
 	// CC selects the server-side congestion controller: "cubic" (default,
 	// what the paper's QUIC* inherits) or "bbr" (the delay-based control
 	// Appendix B names as future work).
-	CC string
+	CC string `json:"cc,omitempty"`
 	// Impairment names a netem fault profile (clean / bursty / flaky-wifi /
 	// handover-blackout) applied to the path. Any profile other than
 	// clean/"" also arms the recovery stack: request deadlines and retries
 	// in the HTTP client, idle timeout + keepalive + capped PTO backoff in
 	// QUIC*. Empty keeps the trial bit-identical to the pre-impairment
 	// harness.
-	Impairment string
+	Impairment string `json:"impairment,omitempty"`
 	// Failover adds a second origin server on its own path and blackholes
 	// the primary path permanently at FailoverKillTime, exercising
 	// idle-timeout detection and client failover mid-stream.
-	Failover bool
+	Failover bool `json:"failover,omitempty"`
 	// Parallelism is the number of worker goroutines trials fan out across.
 	// 0 and 1 run sequentially; negative means GOMAXPROCS. Each trial owns
 	// its own simulated world, and results are delivered in trial order, so
 	// aggregates are bit-identical to the sequential output for the same
 	// seed at any setting.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 	// Telemetry attaches a per-trial obs.Scope to every layer of the stack
 	// and collects the per-trial reports into Aggregate.Obs. Recording never
 	// schedules simulator events, so the metrics of a telemetered run are
 	// bit-identical to an untelemetered one.
-	Telemetry bool
+	Telemetry bool `json:"telemetry,omitempty"`
 	// TimelineCap overrides the per-trial event ring capacity
 	// (obs.DefaultTimelineCap when zero). Only meaningful with Telemetry.
-	TimelineCap int
+	TimelineCap int `json:"timeline_cap,omitempty"`
 	// Interrupt, when non-nil, aborts the run once the channel is closed
 	// (e.g. a context's Done channel). Pending trials are skipped and left
 	// zero-valued; trials already in flight notice the close at periodic
@@ -119,7 +121,7 @@ type Config struct {
 	// bit-identical to each other. Per-session summaries land in
 	// Trial.Sessions along with the trial's Jain fairness index and
 	// bottleneck utilization.
-	Sessions int
+	Sessions int `json:"sessions,omitempty"`
 	// Invariants arms the cross-layer invariant checker (internal/invariant)
 	// inside every trial's world: QUIC* packet and byte conservation,
 	// reliable-stream contiguity, non-negative player buffer, monotone sim
@@ -127,21 +129,21 @@ type Config struct {
 	// with a typed TrialError naming the broken rule; other trials keep
 	// running. Off by default, and a disabled checker costs nothing on the
 	// hot paths (nil receiver, one branch), so golden outputs are unchanged.
-	Invariants bool
+	Invariants bool `json:"invariants,omitempty"`
 	// WatchdogWall bounds one trial's wall-clock runtime; a trial that
 	// exceeds it fails with rule "watchdog.wall-budget" instead of hanging
 	// the sweep. 0 means no wall budget.
-	WatchdogWall time.Duration
+	WatchdogWall time.Duration `json:"watchdog_wall,omitempty"`
 	// WatchdogEvents bounds one trial's executed simulator events; a trial
 	// that exceeds it fails with rule "watchdog.event-budget". This is the
 	// budget that catches a zero-delay event storm, which burns events
 	// without ever advancing virtual time. 0 means no event budget.
-	WatchdogEvents uint64
+	WatchdogEvents uint64 `json:"watchdog_events,omitempty"`
 	// Inject schedules a deliberate fault inside the trial world — "panic",
 	// "invariant", or "spin", optionally suffixed "@trial" to target one
 	// trial index — to exercise the failure pipeline end to end. Used by
 	// tests and committed repro artifacts; empty in normal operation.
-	Inject string
+	Inject string `json:"inject,omitempty"`
 	// ShardIndex/ShardCount partition the trial set across processes:
 	// shard i of n owns the trials whose index ≡ i (mod n) and skips the
 	// rest, leaving their Trial slots zero-valued. Per-trial seeds and
@@ -150,8 +152,8 @@ type Config struct {
 	// would, and MergeShards folds n shard aggregates back into an
 	// aggregate bit-identical to the single-process run. ShardCount 0 (or
 	// 1) means unsharded.
-	ShardIndex int
-	ShardCount int
+	ShardIndex int `json:"shard_index,omitempty"`
+	ShardCount int `json:"shard_count,omitempty"`
 }
 
 // MaxSessions caps Config.Sessions: each session costs a full stack, and a
@@ -180,8 +182,8 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate checks the user-facing identifier fields — title, system, and
-// impairment profile — so CLIs can reject a bad flag with a message instead
+// Validate checks the user-facing identifier fields — title, system, QoE
+// metric and impairment profile — so CLIs can reject a bad flag with a message instead
 // of a panic deep inside a trial.
 func (c Config) Validate() error {
 	if c.Title != "" {
@@ -189,17 +191,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("exp: %v (have %v)", err, video.AllTitles())
 		}
 	}
-	if c.System != "" {
-		known := false
-		for _, s := range Systems() {
-			if s == c.System {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("exp: unknown system %q (have %v)", c.System, Systems())
-		}
+	if c.System != "" && !slices.Contains(Systems(), c.System) {
+		return fmt.Errorf("exp: unknown system %q (have %v)", c.System, Systems())
+	}
+	if _, err := c.Metric.MarshalText(); err != nil {
+		return err
 	}
 	if _, _, err := netem.NewProfile(c.Impairment); err != nil {
 		return err
@@ -399,6 +395,43 @@ func (a *Aggregate) TotalStall() time.Duration {
 		}
 	}
 	return d
+}
+
+// Summary renders the cell's headline metrics over the trials its config
+// owns, one per line — what voxel-sim prints for a run and voxel-merge for
+// a merged campaign.
+func (a *Aggregate) Summary() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-26s %v\n", "trials:", len(a.Trials))
+	fmt.Fprintf(&b, "%-26s %.2f%%\n", "bufRatio (p90):", 100*a.BufRatioP90())
+	fmt.Fprintf(&b, "%-26s %.2f%%\n", "bufRatio (mean):", 100*a.BufRatioMean())
+	fmt.Fprintf(&b, "%-26s %.2f Mbps\n", "avg bitrate:", a.BitrateMean()/1e6)
+	cdf := a.ScoreCDF()
+	fmt.Fprintf(&b, "%-26s p10=%.4f median=%.4f p90=%.4f\n", a.Config.Metric.String()+" scores:",
+		cdf.Quantile(0.1), cdf.Quantile(0.5), cdf.Quantile(0.9))
+	var skipped, residual, startup []float64
+	var failed float64
+	incomplete := 0
+	for ti, t := range a.Trials {
+		if !a.Config.Owns(ti) {
+			continue // sharded run: unowned slots are zero-valued
+		}
+		skipped = append(skipped, t.Skipped)
+		residual = append(residual, t.Residual)
+		startup = append(startup, t.StartupDelay.Seconds())
+		failed += float64(t.FailedReqs)
+		if !t.Completed {
+			incomplete++
+		}
+	}
+	fmt.Fprintf(&b, "%-26s %.2f%%\n", "data skipped (mean):", 100*stats.Mean(skipped))
+	fmt.Fprintf(&b, "%-26s %.2f%%\n", "residual loss (mean):", 100*stats.Mean(residual))
+	fmt.Fprintf(&b, "%-26s %.2f s\n", "startup delay (mean):", stats.Mean(startup))
+	if a.Config.Impairment != "" || a.Config.Failover {
+		fmt.Fprintf(&b, "%-26s %.1f\n", "failed requests (mean):", failed/float64(len(skipped)))
+		fmt.Fprintf(&b, "%-26s %d/%d\n", "incomplete trials:", incomplete, len(skipped))
+	}
+	return b.String()
 }
 
 // newAlgorithm builds the ABR instance for a system.

@@ -1,16 +1,16 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"voxel/internal/invariant"
-	"voxel/internal/qoe"
-	"voxel/internal/repro"
-	"voxel/internal/trace"
 )
 
 // TrialError is the structured failure record of one trial: a recovered
@@ -19,26 +19,28 @@ import (
 // Aggregate.Failed in (config, trial) order with everything needed to
 // replay the case deterministically.
 type TrialError struct {
-	// Config is the cell the trial belonged to (post-defaulting).
-	Config Config
+	// Config is the cell the trial belonged to (post-defaulting). It is
+	// left out of the JSON: a sweep checkpoint stores it once, as the
+	// file's experiment.
+	Config Config `json:"-"`
 	// Trial is the failing trial's index within the sweep; Seed is the
 	// derived per-trial seed the world was built with.
-	Trial int
-	Seed  int64
+	Trial int   `json:"trial"`
+	Seed  int64 `json:"seed"`
 	// Session is the swarm session under construction when the failure
 	// hit, or -1 once the event loop was running (a mid-run failure is not
 	// attributable to one session from outside the world).
-	Session int
+	Session int `json:"session"`
 	// Clock is the virtual time at which the trial died.
-	Clock time.Duration
+	Clock time.Duration `json:"clock_ns"`
 	// Rule classifies the failure: an invariant rule
 	// ("quic.byte-conservation"), a watchdog rule ("watchdog.wall-budget",
 	// "watchdog.event-budget"), or "panic" / "error" for everything else.
-	Rule string
+	Rule string `json:"rule"`
 	// Msg is the panic value, violation detail, or error text.
-	Msg string
+	Msg string `json:"msg"`
 	// Stack is the goroutine stack at the recovery point (panics only).
-	Stack string
+	Stack string `json:"stack,omitempty"`
 }
 
 // Error summarizes the failure on one line.
@@ -47,156 +49,106 @@ func (e *TrialError) Error() string {
 		e.Trial, e.Seed, e.Clock, e.Rule, e.Msg)
 }
 
-// ReplayCommand returns a copy-pasteable voxel-sim invocation that
-// deterministically reproduces the failing sweep (the failure fires at the
-// same trial index, since trials are independent worlds keyed by seed). It
-// renders the crash artifact's fields as flags, so the Config → outside
-// world mapping lives in Artifact alone. CC, link capacity and MaxSimTime
-// have no voxel-sim flag; only the artifact carries them.
-func (e *TrialError) ReplayCommand() string {
-	a := e.Artifact()
+// FailureReport lists the failed trials, each with its stack (panics only)
+// and replay command; it is empty when every trial survived.
+func (a *Aggregate) FailureReport() string {
+	if len(a.Failed) == 0 {
+		return ""
+	}
 	var b strings.Builder
-	b.WriteString("go run ./cmd/voxel-sim")
-	add := func(flag, val string) { b.WriteString(" -" + flag + " " + val) }
-	if a.Title != "" {
-		add("title", a.Title)
-	}
-	if a.System != "" {
-		add("system", "'"+a.System+"'")
-	}
-	if a.CrossMbps > 0 {
-		add("cross", strconv.FormatFloat(a.CrossMbps, 'g', -1, 64))
-	} else if a.Trace != "" {
-		add("trace", a.Trace)
-	}
-	if a.Metric != "" {
-		add("metric", a.Metric)
-	}
-	add("buffer", strconv.Itoa(a.Buffer))
-	if a.Segments > 0 {
-		add("segments", strconv.Itoa(a.Segments))
-	}
-	add("trials", strconv.Itoa(a.Trials))
-	add("seed", strconv.FormatInt(a.Seed, 10))
-	if a.Queue > 0 && a.Queue != 32 {
-		add("queue", strconv.Itoa(a.Queue))
-	}
-	if a.Sessions > 1 {
-		add("sessions", strconv.Itoa(a.Sessions))
-	}
-	if a.Impairment != "" {
-		add("impair", a.Impairment)
-	}
-	if a.Failover {
-		b.WriteString(" -failover")
-	}
-	if a.Inject != "" {
-		add("inject", a.Inject)
-	}
-	if e.Config.Invariants {
-		b.WriteString(" -invariants")
+	fmt.Fprintf(&b, "\n%d of %d trials FAILED:\n", len(a.Failed), len(a.Trials))
+	for i := range a.Failed {
+		te := &a.Failed[i]
+		fmt.Fprintf(&b, "  trial %d (seed %d) at virtual %v: %s\n    %s\n",
+			te.Trial, te.Seed, te.Clock, te.Rule, te.Msg)
+		if te.Stack != "" {
+			b.WriteString("    stack:\n")
+			for _, line := range strings.Split(strings.TrimRight(te.Stack, "\n"), "\n") {
+				fmt.Fprintf(&b, "      %s\n", line)
+			}
+		}
+		fmt.Fprintf(&b, "    replay: %s\n", te.ReplayCommand())
 	}
 	return b.String()
 }
 
-// Artifact converts the failure into a standalone JSON crash artifact,
-// replayable with `voxel-sim -repro file.json`.
-func (e *TrialError) Artifact() *repro.Artifact {
-	c := e.Config
-	a := &repro.Artifact{
-		Title:      c.Title,
-		System:     string(c.System),
-		Buffer:     c.BufferSegments,
-		Segments:   c.Segments,
-		Trials:     c.Trials,
-		Trial:      e.Trial,
-		Seed:       c.Seed,
-		Queue:      c.QueuePackets,
-		CrossMbps:  c.CrossTraffic / 1e6,
-		LinkMbps:   c.LinkCapacity / 1e6,
-		Sessions:   c.Sessions,
-		Impairment: c.Impairment,
-		Failover:   c.Failover,
-		CC:         c.CC,
-		Inject:     c.Inject,
-		Violation:  e.Rule,
-		Detail:     e.Msg,
-	}
-	if c.Trace != nil && c.CrossTraffic <= 0 {
-		a.Trace = traceFlagName(c.Trace)
-	}
-	if c.Metric != qoe.SSIM {
-		a.Metric = strings.ToLower(c.Metric.String())
-	}
-	if c.MaxSimTime > 0 {
-		a.MaxSimTimeSec = c.MaxSimTime.Seconds()
-	}
-	return a
+// Artifact is the JSON crash artifact: one replayable failing trial,
+// small enough to commit next to a bug report and replay with
+// `voxel-sim -repro file.json`. Zero-valued config fields stay off disk.
+type Artifact struct {
+	Document
+	// Trial is the failing trial's index within the sweep.
+	Trial int `json:"trial"`
+	// Violation is the failure rule the artifact reproduces (an invariant
+	// rule like "quic.byte-conservation", "watchdog.event-budget", or
+	// "panic"). Replay verifies the same rule fires again.
+	Violation string `json:"violation,omitempty"`
+	// Detail preserves the original failure message for humans.
+	Detail string `json:"detail,omitempty"`
 }
 
-// traceFlagName names a trace the way -trace and artifact files expect:
-// the canonical ByName key when the trace is exactly a canonical trace.
-// Any other trace — a shifted or offset copy, a CSV or synthetic trace —
-// is written as "custom:" plus its internal name, which identifies it but
-// which ByName refuses, so a replay fails loudly instead of silently
-// running a different trace.
-func traceFlagName(t *trace.Trace) string {
-	if name, ok := trace.CanonicalName(t); ok {
-		return name
-	}
-	return "custom:" + t.Name()
+// Artifact converts the failure into a standalone crash artifact.
+func (e *TrialError) Artifact() *Artifact {
+	return &Artifact{Document: NewDocument(e.Config), Trial: e.Trial, Violation: e.Rule, Detail: e.Msg}
 }
 
-// ConfigFromArtifact resolves a crash artifact back into a runnable
-// configuration. Invariants and both watchdog budgets are armed, matching
-// the fuzz campaign the artifact came from.
-func ConfigFromArtifact(a *repro.Artifact) (Config, error) {
-	cfg := Config{
-		Title:          a.Title,
-		System:         System(a.System),
-		BufferSegments: a.Buffer,
-		Segments:       a.Segments,
-		Trials:         a.Trials,
-		Seed:           a.Seed,
-		QueuePackets:   a.Queue,
-		CrossTraffic:   a.CrossMbps * 1e6,
-		LinkCapacity:   a.LinkMbps * 1e6,
-		Sessions:       a.Sessions,
-		Impairment:     a.Impairment,
-		Failover:       a.Failover,
-		CC:             a.CC,
-		Inject:         a.Inject,
-		Invariants:     true,
-		WatchdogWall:   DefaultWatchdogWall,
-		WatchdogEvents: DefaultWatchdogEvents,
-	}
-	if a.MaxSimTimeSec > 0 {
-		cfg.MaxSimTime = time.Duration(a.MaxSimTimeSec * float64(time.Second))
-	}
-	if a.Trace != "" {
-		tr, err := trace.ByName(a.Trace)
-		if err != nil {
-			return Config{}, fmt.Errorf("exp: artifact trace: %v", err)
-		}
-		cfg.Trace = tr
-	}
-	switch strings.ToLower(a.Metric) {
-	case "", "ssim":
-		cfg.Metric = qoe.SSIM
-	case "vmaf":
-		cfg.Metric = qoe.VMAF
-	case "psnr":
-		cfg.Metric = qoe.PSNR
-	default:
-		return Config{}, fmt.Errorf("exp: artifact metric %q unknown", a.Metric)
-	}
-	if err := cfg.Validate(); err != nil {
+// ReplayConfig resolves the artifact into a runnable config with the
+// invariant checker and both watchdog budgets armed, matching the fuzz
+// campaign the artifact came from.
+func (a *Artifact) ReplayConfig() (Config, error) {
+	cfg, err := a.Resolve()
+	if err != nil {
 		return Config{}, err
 	}
-	return cfg, nil
+	cfg.Invariants = true
+	cfg.WatchdogWall, cfg.WatchdogEvents = DefaultWatchdogWall, DefaultWatchdogEvents
+	return cfg, cfg.Validate()
 }
 
-// Default watchdog budgets used by repro replay and the fuzz campaign: lax
+// Encode renders the artifact as stable, indented JSON (trailing newline),
+// so identical cases produce identical bytes and diff cleanly in review.
+func (a *Artifact) Encode() ([]byte, error) {
+	b, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// Save writes the artifact to path.
+func (a *Artifact) Save(path string) error {
+	b, err := a.Encode()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
+}
+
+// LoadArtifact reads an artifact from path.
+func LoadArtifact(path string) (*Artifact, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeArtifact(b)
+}
+
+// DecodeArtifact parses an artifact, rejecting unknown fields so a typo in
+// a hand-edited case fails loudly instead of silently changing the repro.
+func DecodeArtifact(b []byte) (*Artifact, error) {
+	var a Artifact
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&a); err != nil {
+		return nil, fmt.Errorf("exp: artifact: %v", err)
+	}
+	if a.Config.Title == "" {
+		return nil, fmt.Errorf("exp: artifact missing title")
+	}
+	return &a, nil
+}
+
+// Default watchdog budgets used by artifact replay and the fuzz campaign: lax
 // enough for the heaviest legitimate trial (a 512-session swarm runs in
 // well under a minute), tight enough to catch a wedged one.
 const (
@@ -273,20 +225,6 @@ const (
 	injectInvariant = "invariant"
 	injectSpin      = "spin"
 )
-
-// injectRule maps an inject kind to the Rule its TrialError will carry —
-// what a crash artifact for the injected case records as its violation.
-func injectRule(kind string) string {
-	switch kind {
-	case injectPanic:
-		return "panic"
-	case injectInvariant:
-		return "exp.injected-fault"
-	case injectSpin:
-		return "watchdog.event-budget"
-	}
-	return ""
-}
 
 // injectTime is the virtual instant an injected fault fires: late enough
 // that the world is streaming, early enough that every config reaches it.

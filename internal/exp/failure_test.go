@@ -48,10 +48,13 @@ func TestPanicIsolation16Trials(t *testing.T) {
 		t.Fatalf("stack missing runTrial:\n%s", te.Stack)
 	}
 	cmd := te.ReplayCommand()
-	for _, want := range []string{"voxel-sim", "-inject panic@5", "-trials 16", "-seed 1"} {
+	for _, want := range []string{"voxel-sim", "-inject panic@5", "-trials 16"} {
 		if !strings.Contains(cmd, want) {
 			t.Fatalf("replay command %q missing %q", cmd, want)
 		}
+	}
+	if strings.Contains(cmd, "-seed") || strings.Contains(cmd, "#") {
+		t.Fatalf("replay command %q names the default seed or claims lost values", cmd)
 	}
 
 	if len(agg.Trials) != 16 {
@@ -202,25 +205,31 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Fatalf("got %d failures, want 1", len(agg.Failed))
 	}
 	a := agg.Failed[0].Artifact()
-	if a.Violation != "exp.injected-fault" || a.Trial != 1 || a.Trace != "verizon" {
+	if a.Violation != "exp.injected-fault" || a.Trial != 1 || a.Trace.Canonical != "verizon" {
 		t.Fatalf("artifact fields wrong: %+v", a)
 	}
-	got, err := ConfigFromArtifact(a)
+	b, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := agg.Failed[0].Config
-	if got.Title != want.Title || got.System != want.System ||
-		got.Seed != want.Seed || got.Segments != want.Segments ||
-		got.Trials != want.Trials || got.Impairment != want.Impairment ||
-		got.Inject != want.Inject {
-		t.Fatalf("config round trip mismatch:\n got %+v\nwant %+v", got, want)
+	if a, err = DecodeArtifact(b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.ReplayConfig()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !got.Invariants || got.WatchdogWall == 0 || got.WatchdogEvents == 0 {
 		t.Fatal("replay config did not arm invariants + watchdog")
 	}
-	if tr, _ := ConfigFromArtifact(a); tr.Trace.Name() != want.Trace.Name() {
-		t.Fatalf("trace %q did not round-trip", want.Trace.Name())
+	if got.Trace.Name() != cfg.Trace.Name() {
+		t.Fatalf("trace %q did not round-trip", cfg.Trace.Name())
+	}
+	// Past the arming, the replayed config is the failing one.
+	want := agg.Failed[0].Config.Normalized()
+	got.Invariants, got.WatchdogWall, got.WatchdogEvents = want.Invariants, want.WatchdogWall, want.WatchdogEvents
+	if !reflect.DeepEqual(NewDocument(got), NewDocument(want)) {
+		t.Fatalf("config round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -233,20 +242,57 @@ func TestArtifactShiftedTraceNotCanonical(t *testing.T) {
 	te := &TrialError{Config: cfg.WithDefaults(), Rule: "panic"}
 
 	a := te.Artifact()
-	if _, err := trace.ByName(a.Trace); err == nil {
-		t.Fatalf("artifact names shifted trace %q, which ByName resolves", a.Trace)
+	if a.Trace.Canonical != "" {
+		t.Fatalf("artifact names shifted trace %q canonical", a.Trace.Canonical)
 	}
-	if _, err := ConfigFromArtifact(a); err == nil {
-		t.Fatal("artifact of a shifted trace replayed without error")
+	if _, err := a.ReplayConfig(); err == nil || !strings.Contains(err.Error(), "no canonical name") {
+		t.Fatalf("artifact of a shifted trace replayed: %v", err)
 	}
-	if cmd := te.ReplayCommand(); !strings.Contains(cmd, " -trace "+a.Trace+" ") {
-		t.Fatalf("replay command %q does not name the artifact's trace %q", cmd, a.Trace)
+	if cmd := te.ReplayCommand(); !strings.Contains(cmd, " -trace custom:"+a.Trace.Name+" ") {
+		t.Fatalf("replay command %q does not name the shifted trace %q", cmd, a.Trace.Name)
 	}
 
 	// The unshifted trace keeps its canonical name.
 	te.Config.Trace = trace.Verizon()
-	if got := te.Artifact().Trace; got != "verizon" {
+	if got := te.Artifact().Trace.Canonical; got != "verizon" {
 		t.Fatalf("canonical trace named %q, want verizon", got)
+	}
+	// A tampered hash is refused too.
+	a = te.Artifact()
+	a.Trace.Hash = "00"
+	if _, err := a.ReplayConfig(); err == nil || !strings.Contains(err.Error(), "does not match stored hash") {
+		t.Fatalf("artifact with a wrong trace hash replayed: %v", err)
+	}
+}
+
+// Values no voxel-sim flag can express are named in a trailing comment, so
+// the replay command never silently runs a different experiment.
+func TestReplayCommandNamesUnflaggedValues(t *testing.T) {
+	cfg := failCfg()
+	cfg.CC = "bbr"
+	te := &TrialError{Config: cfg.WithDefaults(), Rule: "panic"}
+	if cmd := te.ReplayCommand(); !strings.HasSuffix(cmd, "  # no flag for: cc=bbr") {
+		t.Fatalf("replay command %q does not name cc=bbr", cmd)
+	}
+
+	cfg = failCfg()
+	cfg.Trace = nil
+	te = &TrialError{Config: cfg.WithDefaults(), Rule: "panic"}
+	cmd := te.ReplayCommand()
+	if !strings.HasSuffix(cmd, "  # no flag for: trace=nil") || strings.Contains(cmd, "-trace") {
+		t.Fatalf("replay command %q does not name the nil trace", cmd)
+	}
+
+	// Cross traffic replaces the trace: -cross says it all.
+	cfg.CrossTraffic, cfg.LinkCapacity = 5e6, 20e6
+	te = &TrialError{Config: cfg.WithDefaults(), Rule: "panic"}
+	if cmd := te.ReplayCommand(); !strings.Contains(cmd, " -cross 5 ") || strings.Contains(cmd, "#") {
+		t.Fatalf("cross-traffic replay command %q", cmd)
+	}
+	cfg.LinkCapacity, cfg.MaxSimTime = 15e6, time.Minute
+	te = &TrialError{Config: cfg.WithDefaults(), Rule: "panic"}
+	if cmd := te.ReplayCommand(); !strings.HasSuffix(cmd, "# no flag for: link_capacity=1.5e+07, max_sim_time=1m0s") {
+		t.Fatalf("replay command %q does not name the link and time bound", cmd)
 	}
 }
 

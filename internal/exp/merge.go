@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 )
 
 // Normalized returns the config with its execution-only fields cleared:
@@ -76,20 +76,8 @@ func MergeShards(shards []*Aggregate) (*Aggregate, error) {
 	}
 	// Present in sorted shard-index order so the refold is independent of
 	// the order the caller listed the files in.
-	ordered := make([]*Aggregate, 0, n)
-	idx := make([]int, 0, n)
-	for _, s := range shards {
-		idx = append(idx, s.Config.ShardIndex)
-	}
-	sort.Ints(idx)
-	for _, want := range idx {
-		for _, s := range shards {
-			if s.Config.ShardIndex == want {
-				ordered = append(ordered, s)
-				break
-			}
-		}
-	}
+	ordered := slices.Clone(shards)
+	slices.SortFunc(ordered, func(a, b *Aggregate) int { return a.Config.ShardIndex - b.Config.ShardIndex })
 	return mergeRefold(ordered)
 }
 

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"errors"
+	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -210,6 +213,33 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	row("total,-"+shardCol, &r.Totals, nfailed)
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+// WriteFiles writes the timeline as JSONL to jsonlPath and the per-trial
+// counters as CSV to csvPath. An empty path skips that export, and "-"
+// writes it to stdout, which also gets one line per file written.
+func (r *Report) WriteFiles(jsonlPath, csvPath string, stdout io.Writer) error {
+	write := func(path string, emit func(w io.Writer) error) error {
+		switch path {
+		case "":
+			return nil
+		case "-":
+			return emit(stdout)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := errors.Join(emit(f), f.Close()); err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(stdout, "  wrote %s\n", path)
+		return err
+	}
+	if err := write(jsonlPath, r.WriteJSONL); err != nil {
+		return err
+	}
+	return write(csvPath, r.WriteCSV)
 }
 
 // Summary renders a compact human-readable digest: non-zero cell totals in

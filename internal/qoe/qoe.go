@@ -73,6 +73,31 @@ func (m Metric) String() string {
 	}
 }
 
+// metricNames are the metrics' names in flags and config files.
+var metricNames = [...]string{SSIM: "ssim", VMAF: "vmaf", PSNR: "psnr"}
+
+// Metrics lists the supported metrics.
+func Metrics() []Metric { return []Metric{SSIM, VMAF, PSNR} }
+
+// MarshalText names the metric: ssim, vmaf or psnr.
+func (m Metric) MarshalText() ([]byte, error) {
+	if m < 0 || int(m) >= len(metricNames) {
+		return nil, fmt.Errorf("qoe: unknown metric %d", int(m))
+	}
+	return []byte(metricNames[m]), nil
+}
+
+// UnmarshalText parses a metric name and refuses any other.
+func (m *Metric) UnmarshalText(b []byte) error {
+	for i, name := range metricNames {
+		if string(b) == name {
+			*m = Metric(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("qoe: unknown metric %q (have %v)", b, metricNames)
+}
+
 // Perfect returns the metric's perfect score (1.0, 100, or the PSNR cap).
 func (m Metric) Perfect() float64 {
 	switch m {

@@ -25,7 +25,7 @@ func smallCfg() exp.Config {
 // Every result-affecting Config field must move the fingerprint, with no
 // hand-kept list to forget a new one. The execution-only fields must not.
 func TestIdentityCoversEveryConfigField(t *testing.T) {
-	base := newIdentity(smallCfg()).fingerprint()
+	base := exp.NewDocument(smallCfg()).Fingerprint()
 	executionOnly := map[string]bool{
 		"Parallelism": true, "ShardIndex": true, "ShardCount": true, "Interrupt": true,
 	}
@@ -40,19 +40,20 @@ func TestIdentityCoversEveryConfigField(t *testing.T) {
 		case reflect.Bool:
 			v.SetBool(!v.Bool())
 		case reflect.Int, reflect.Int64:
-			v.SetInt(v.Int() + 3)
+			v.SetInt(v.Int() + 1) // +1 keeps Metric a valid metric
+
 		case reflect.Uint64:
 			v.SetUint(v.Uint() + 3)
 		case reflect.Float64:
 			v.SetFloat(v.Float() + 1.5)
 		case reflect.Pointer:
-			c.Trace = trace.ATT() // the trace fields carry it
+			c.Trace = trace.ATT() // the trace reference carries it
 		case reflect.Chan:
 			c.Interrupt = make(chan struct{})
 		default:
 			t.Fatalf("field %s has kind %v this test cannot perturb", f.Name, v.Kind())
 		}
-		moved := newIdentity(c).fingerprint() != base
+		moved := exp.NewDocument(c).Fingerprint() != base
 		if moved == executionOnly[f.Name] {
 			t.Errorf("perturbing Config.%s: fingerprint moved = %v, want %v",
 				f.Name, moved, !executionOnly[f.Name])
@@ -82,7 +83,7 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := "version 1, want 2"
+	want := "version 1, want 3"
 	if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("LoadCheckpoint: got %v, want %q", err, want)
 	}

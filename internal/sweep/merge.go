@@ -2,7 +2,7 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"voxel/internal/exp"
 )
@@ -47,7 +47,8 @@ func MergeFiles(paths []string) (*Merged, error) {
 	if err := coverage(cps, paths); err != nil {
 		return nil, err
 	}
-	sort.Sort(byShard{cps, paths})
+	// Merge in shard-index order, whatever order the files were given in.
+	slices.SortFunc(cps, func(a, b *Checkpoint) int { return a.Shard.Index - b.Shard.Index })
 	if cps[0].Stream {
 		return mergeStreamFiles(cps)
 	}
@@ -79,20 +80,6 @@ func coverage(cps []*Checkpoint, paths []string) error {
 		seen[cp.Shard.Index] = paths[i]
 	}
 	return nil
-}
-
-// byShard sorts checkpoints (and their paths, in lockstep) by shard index,
-// so the merge order never depends on argument order.
-type byShard struct {
-	cps   []*Checkpoint
-	paths []string
-}
-
-func (s byShard) Len() int           { return len(s.cps) }
-func (s byShard) Less(i, j int) bool { return s.cps[i].Shard.Index < s.cps[j].Shard.Index }
-func (s byShard) Swap(i, j int) {
-	s.cps[i], s.cps[j] = s.cps[j], s.cps[i]
-	s.paths[i], s.paths[j] = s.paths[j], s.paths[i]
 }
 
 func mergeClassicFiles(cps []*Checkpoint) (*Merged, error) {
@@ -146,7 +133,7 @@ func mergeStreamFiles(cps []*Checkpoint) (*Merged, error) {
 		Version:     checkpointVersion,
 		Fingerprint: cps[0].Fingerprint,
 		Stream:      true,
-		Config:      cps[0].Config,
+		Experiment:  cps[0].Experiment,
 	}
 	out.capture(done, nil, nil, sk)
 	return &Merged{Stream: sk, cp: out}, nil

@@ -15,7 +15,8 @@ package sweep
 import (
 	"fmt"
 	"strconv"
-	"strings"
+
+	"voxel/internal/exp"
 )
 
 // Shard names one slice of a sharded campaign: this process owns the trials
@@ -35,23 +36,9 @@ func (s Shard) String() string {
 
 // ParseShard parses an "i/n" spec: shard i of n, with 0 ≤ i < n and n ≥ 1.
 func ParseShard(spec string) (Shard, error) {
-	a, b, ok := strings.Cut(spec, "/")
-	if !ok {
-		return Shard{}, fmt.Errorf("sweep: shard spec %q is not i/n", spec)
-	}
-	i, err := strconv.Atoi(strings.TrimSpace(a))
+	i, n, err := exp.ParseShard(spec)
 	if err != nil {
-		return Shard{}, fmt.Errorf("sweep: shard index %q: %v", a, err)
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(b))
-	if err != nil {
-		return Shard{}, fmt.Errorf("sweep: shard count %q: %v", b, err)
-	}
-	if n < 1 {
-		return Shard{}, fmt.Errorf("sweep: shard count %d must be at least 1", n)
-	}
-	if i < 0 || i >= n {
-		return Shard{}, fmt.Errorf("sweep: shard index %d out of range [0, %d)", i, n)
+		return Shard{}, fmt.Errorf("sweep: %v", err)
 	}
 	return Shard{Index: i, Count: n}, nil
 }

@@ -89,7 +89,7 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 		case err != nil:
 			return Result{}, err
 		default:
-			if err := prev.matches(d, opts.Stream); err != nil {
+			if err := prev.matches(cp); err != nil {
 				return Result{}, err
 			}
 			if opts.Stream {

@@ -21,11 +21,10 @@ import (
 // immutable after New and safe to Run multiple times (each Run executes the
 // full trial set again, deterministically).
 type Session struct {
-	cfg     Config
-	ctx     context.Context
-	ckPath  string // checkpoint file; "" disables checkpoint/resume
-	ckEvery int    // checkpoint every N completed trials (default 1)
-	err     error  // first option error, surfaced by Run
+	cfg  Config
+	ctx  context.Context
+	opts sweep.Options // checkpoint file and interval; "" disables checkpoint/resume
+	err  error         // first option error, surfaced by Run
 }
 
 // Option configures a Session.
@@ -90,11 +89,6 @@ func WithTelemetry() Option {
 	return func(s *Session) { s.cfg.Telemetry = true }
 }
 
-// WithTimelineCap overrides the per-trial telemetry event ring capacity.
-func WithTimelineCap(n int) Option {
-	return func(s *Session) { s.cfg.TimelineCap = n }
-}
-
 // WithContext aborts the run between trials once ctx is done; Run then
 // returns ctx's error alongside the partial aggregate.
 func WithContext(ctx context.Context) Option {
@@ -146,20 +140,9 @@ func WithCrossTraffic(offered, linkCapacity float64) Option {
 	}
 }
 
-// WithCC selects the server congestion controller: "cubic" (default) or
-// "bbr".
-func WithCC(name string) Option {
-	return func(s *Session) { s.cfg.CC = name }
-}
-
 // WithQueue sets the bottleneck queue length in packets.
 func WithQueue(packets int) Option {
 	return func(s *Session) { s.cfg.QueuePackets = packets }
-}
-
-// WithMaxSimTime bounds one trial's virtual time (default 20× the media).
-func WithMaxSimTime(d time.Duration) Option {
-	return func(s *Session) { s.cfg.MaxSimTime = d }
 }
 
 // WithInvariants arms the cross-layer invariant checker in every trial
@@ -208,10 +191,7 @@ func WithShard(index, count int) Option {
 // being silently overwritten. The final checkpoint of a finished run is
 // the shard's output file, consumable by `voxel-merge`.
 func WithCheckpoint(path string, every int) Option {
-	return func(s *Session) {
-		s.ckPath = path
-		s.ckEvery = every
-	}
+	return func(s *Session) { s.opts = sweep.Options{Checkpoint: path, Every: every} }
 }
 
 // WithInject schedules a deliberate fault inside the trial world ("panic",
@@ -249,7 +229,7 @@ func (s *Session) Run() (*Aggregate, *Report, error) {
 		}
 		cfg.Interrupt = s.ctx.Done()
 	}
-	res, err := sweep.Run(cfg, sweep.Options{Checkpoint: s.ckPath, Every: s.ckEvery})
+	res, err := sweep.Run(cfg, s.opts)
 	if err != nil {
 		return nil, nil, err
 	}
