@@ -37,7 +37,7 @@ func BenchmarkOnAckSlidingWindow(b *testing.B) {
 	fill := func(k int) {
 		for i := 0; i < k; i++ {
 			sp := c.allocSent()
-			sp.pn, sp.size, sp.sentAt, sp.ackEliciting = next, 1252, s.Now(), true
+			sp.pn, sp.size, sp.sentAt = next, 1252, s.Now()
 			benchTrack(c, sp)
 			c.lastAckElic = s.Now()
 			next++
@@ -66,7 +66,7 @@ func BenchmarkOnAckReordered(b *testing.B) {
 	fill := func(k int) {
 		for i := 0; i < k; i++ {
 			sp := c.allocSent()
-			sp.pn, sp.size, sp.sentAt, sp.ackEliciting = next, 1252, s.Now(), true
+			sp.pn, sp.size, sp.sentAt = next, 1252, s.Now()
 			benchTrack(c, sp)
 			c.lastAckElic = s.Now()
 			next++
@@ -99,7 +99,7 @@ func BenchmarkDetectLossPath(b *testing.B) {
 	fill := func(k int) {
 		for i := 0; i < k; i++ {
 			sp := c.allocSent()
-			sp.pn, sp.size, sp.sentAt, sp.ackEliciting = next, 1252, s.Now(), true
+			sp.pn, sp.size, sp.sentAt = next, 1252, s.Now()
 			benchTrack(c, sp)
 			c.lastAckElic = s.Now()
 			next++

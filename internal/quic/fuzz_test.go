@@ -2,6 +2,7 @@ package quic
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -130,6 +131,44 @@ func FuzzRangeSetWide(f *testing.F) {
 			if got := s.CoveredBytes(); got != covered {
 				t.Fatalf("CoveredBytes = %d, ranges sum %d", got, covered)
 			}
+		}
+	})
+}
+
+// FuzzDecodePacket drives the one frame decoder through both of its
+// callers. No input may panic; a packet DecodePacket accepts must re-encode
+// to bytes that decode to an equal packet; and Conn.receive on a live
+// connection must accept exactly what DecodePacket accepts, leaving the
+// packet count, ACK state and stream map untouched on a rejected packet.
+//
+// Run with: go test -fuzz FuzzDecodePacket ./internal/quic
+func FuzzDecodePacket(f *testing.F) {
+	pkt := roundTripPacket()
+	f.Add(pkt.Encode())
+	for _, fr := range pkt.Frames {
+		f.Add((&Packet{Number: pkt.Number, Frames: []Frame{fr}}).Encode())
+	}
+	f.Add(ackRangeCountCrash)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		pkt, err := DecodePacket(b)
+		if err == nil {
+			again, err := DecodePacket(pkt.Encode())
+			if err != nil {
+				t.Fatalf("re-encoded packet does not decode: %v", err)
+			}
+			if again.Number != pkt.Number || !framesEqual(again.Frames, pkt.Frames) {
+				t.Fatalf("round trip changed the packet:\n got %#v\nwant %#v", again, pkt)
+			}
+		}
+		c := liveReceiver(t)
+		before := rxSnapshot(c)
+		c.receive(b)
+		after := rxSnapshot(c)
+		switch {
+		case err != nil && !reflect.DeepEqual(after, before):
+			t.Fatalf("receive acted on a packet DecodePacket rejects (%v):\n got %+v\nwant %+v", err, after, before)
+		case err == nil && after.Received != before.Received+1:
+			t.Fatalf("receive dropped a packet DecodePacket accepts")
 		}
 	})
 }

@@ -15,7 +15,6 @@ func fillWindow(c *Conn, s *sim.Sim, start uint64, k int) uint64 {
 		sp.pn = start
 		sp.size = 1252
 		sp.sentAt = s.Now()
-		sp.ackEliciting = true
 		c.sentQ.push(sp)
 		c.lastAckElic = s.Now()
 		start++
@@ -87,7 +86,6 @@ func TestPTORequeuesInPacketOrder(t *testing.T) {
 		sp.pn = pn
 		sp.size = 1252
 		sp.sentAt = s.Now()
-		sp.ackEliciting = true
 		f := c.allocFrame()
 		f.StreamID = 1
 		f.Offset = pn * 1000

@@ -77,9 +77,13 @@ func (s *Stream) WriteAt(offset uint64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.conn.queueUnreliableRewrite(s, offset, cp)
+	c := s.conn
+	f := c.allocFrame()
+	f.StreamID, f.Offset, f.Unreliable = s.id, offset, true
+	f.Data = make([]byte, len(data))
+	copy(f.Data, data)
+	c.rewrites = append(c.rewrites, f)
+	c.trySend()
 }
 
 // OnData registers the receive callback; it fires once per arriving stream

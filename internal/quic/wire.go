@@ -213,174 +213,89 @@ func (f *LossReportFrame) wireSize() int {
 
 func (f *LossReportFrame) ackEliciting() bool { return true }
 
-// walkFrames validates the wire encoding of a packet payload without
-// allocating and reports whether any frame is ack-eliciting. It accepts
-// exactly the payloads parseFrames accepts; the connection's receive path
-// uses it to validate a whole packet up front (so corrupt packets are
-// dropped atomically, as with DecodePacket) before dispatching frames from
-// the wire bytes in place.
-func walkFrames(b []byte) (ackEliciting bool, err error) {
-	for len(b) > 0 {
-		t := b[0]
-		switch {
-		case t == frameTypePing:
-			ackEliciting = true
-			b = b[1:]
-		case t == frameTypeAck:
-			rest := b[1:]
-			var n uint64
-			n, rest, err = consumeVarint(rest)
-			if err != nil {
-				return false, err
-			}
-			for i := uint64(0); i < n; i++ {
-				var first, last uint64
-				first, rest, err = consumeVarint(rest)
-				if err != nil {
-					return false, err
-				}
-				last, rest, err = consumeVarint(rest)
-				if err != nil {
-					return false, err
-				}
-				if first > last {
-					return false, fmt.Errorf("quic: invalid ack range %d..%d", first, last)
-				}
-			}
-			b = rest
-		case t == frameTypeMaxData:
-			ackEliciting = true
-			_, rest, err := consumeVarint(b[1:])
-			if err != nil {
-				return false, err
-			}
-			b = rest
-		case t&^finBit == frameTypeStream || t&^finBit == frameTypeUStream:
-			ackEliciting = true
-			rest := b[1:]
-			var length uint64
-			for k := 0; k < 3; k++ { // stream ID, offset, length
-				length, rest, err = consumeVarint(rest)
-				if err != nil {
-					return false, err
-				}
-			}
-			if uint64(len(rest)) < length {
-				return false, errors.New("quic: truncated stream frame")
-			}
-			b = rest[length:]
-		case t == frameTypeLossReport:
-			ackEliciting = true
-			rest := b[1:]
-			for k := 0; k < 3; k++ { // stream ID, offset, length
-				var err2 error
-				_, rest, err2 = consumeVarint(rest)
-				if err2 != nil {
-					return false, err2
-				}
-			}
-			b = rest
-		default:
-			return false, fmt.Errorf("quic: unknown frame type 0x%02x", t)
-		}
-	}
-	return ackEliciting, nil
+// frameDecoder holds the scratch frames decode fills in. The connection
+// keeps one for its receive path, so steady-state decoding allocates
+// nothing; DecodePacket uses a fresh one per frame to get owned frames.
+type frameDecoder struct {
+	ack    AckFrame
+	max    MaxDataFrame
+	stream StreamFrame
+	loss   LossReportFrame
 }
 
-// parseFrames decodes the payload of a packet.
-func parseFrames(b []byte) ([]Frame, error) {
-	var frames []Frame
-	for len(b) > 0 {
-		t := b[0]
-		switch {
-		case t == frameTypePing:
-			frames = append(frames, PingFrame{})
-			b = b[1:]
-		case t == frameTypeAck:
-			rest := b[1:]
-			var n uint64
-			var err error
-			n, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			f := &AckFrame{Ranges: make([]AckRange, 0, n)}
-			for i := uint64(0); i < n; i++ {
-				var first, last uint64
-				first, rest, err = consumeVarint(rest)
-				if err != nil {
-					return nil, err
-				}
-				last, rest, err = consumeVarint(rest)
-				if err != nil {
-					return nil, err
-				}
-				if first > last {
-					return nil, fmt.Errorf("quic: invalid ack range %d..%d", first, last)
-				}
-				f.Ranges = append(f.Ranges, AckRange{First: first, Last: last})
-			}
-			frames = append(frames, f)
-			b = rest
-		case t == frameTypeMaxData:
-			v, rest, err := consumeVarint(b[1:])
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, &MaxDataFrame{Max: v})
-			b = rest
-		case t&^finBit == frameTypeStream || t&^finBit == frameTypeUStream:
-			rest := b[1:]
-			var id, off, length uint64
-			var err error
-			id, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			off, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			length, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			if uint64(len(rest)) < length {
-				return nil, errors.New("quic: truncated stream frame")
-			}
-			data := make([]byte, length)
-			copy(data, rest[:length])
-			frames = append(frames, &StreamFrame{
-				StreamID:   id,
-				Offset:     off,
-				Data:       data,
-				Fin:        t&finBit != 0,
-				Unreliable: t&^finBit == frameTypeUStream,
-			})
-			b = rest[length:]
-		case t == frameTypeLossReport:
-			rest := b[1:]
-			var id, off, length uint64
-			var err error
-			id, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			off, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			length, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, &LossReportFrame{StreamID: id, Offset: off, Length: length})
-			b = rest
-		default:
-			return nil, fmt.Errorf("quic: unknown frame type 0x%02x", t)
+// decode decodes the frame at the front of b (non-empty) into the
+// decoder's scratch and returns it with the bytes after it. This is the
+// one place the frame grammar is read. The returned frame is valid until
+// the next decode; stream Data aliases b, and ACK ranges grow only as
+// their bytes arrive, so a hostile range count cannot force a large
+// allocation.
+func (d *frameDecoder) decode(b []byte) (Frame, []byte, error) {
+	t, b := b[0], b[1:]
+	var err error
+	switch t {
+	case frameTypePing:
+		return PingFrame{}, b, nil
+	case frameTypeAck:
+		var n uint64
+		if n, b, err = consumeVarint(b); err != nil {
+			return nil, nil, err
 		}
+		f := &d.ack
+		f.Ranges = f.Ranges[:0]
+		for ; n > 0; n-- {
+			var r AckRange
+			if r.First, b, err = consumeVarint(b); err != nil {
+				return nil, nil, err
+			}
+			if r.Last, b, err = consumeVarint(b); err != nil {
+				return nil, nil, err
+			}
+			if r.First > r.Last {
+				return nil, nil, fmt.Errorf("quic: invalid ack range %d..%d", r.First, r.Last)
+			}
+			f.Ranges = append(f.Ranges, r)
+		}
+		return f, b, nil
+	case frameTypeMaxData:
+		f := &d.max
+		if f.Max, b, err = consumeVarint(b); err != nil {
+			return nil, nil, err
+		}
+		return f, b, nil
+	case frameTypeStream, frameTypeStream | finBit, frameTypeUStream, frameTypeUStream | finBit:
+		f := &d.stream
+		var n uint64
+		if f.StreamID, f.Offset, n, b, err = consumeTriple(b); err != nil {
+			return nil, nil, err
+		}
+		if uint64(len(b)) < n {
+			return nil, nil, errors.New("quic: truncated stream frame")
+		}
+		f.Data, b = b[:n:n], b[n:]
+		f.Fin, f.Unreliable = t&finBit != 0, t&^finBit == frameTypeUStream
+		return f, b, nil
+	case frameTypeLossReport:
+		f := &d.loss
+		if f.StreamID, f.Offset, f.Length, b, err = consumeTriple(b); err != nil {
+			return nil, nil, err
+		}
+		return f, b, nil
+	default:
+		return nil, nil, fmt.Errorf("quic: unknown frame type 0x%02x", t)
 	}
-	return frames, nil
+}
+
+// consumeTriple decodes the stream ID, offset and length varints that open
+// STREAM and LOSS_REPORT frames.
+func consumeTriple(b []byte) (id, off, n uint64, rest []byte, err error) {
+	if id, b, err = consumeVarint(b); err != nil {
+		return
+	}
+	if off, b, err = consumeVarint(b); err != nil {
+		return
+	}
+	n, rest, err = consumeVarint(b)
+	return
 }
 
 // Packet is one QUIC* packet: a packet number followed by frames.
@@ -428,18 +343,31 @@ func (p *Packet) AckEliciting() bool {
 	return false
 }
 
-// DecodePacket parses an encoded packet.
-func DecodePacket(b []byte) (*Packet, error) {
+// decodeHeader splits an encoded packet into its packet number and its
+// frame payload.
+func decodeHeader(b []byte) (pn uint64, payload []byte, err error) {
 	if len(b) == 0 || b[0] != packetHeaderByte {
-		return nil, errors.New("quic: bad packet header")
+		return 0, nil, errors.New("quic: bad packet header")
 	}
-	pn, rest, err := consumeVarint(b[1:])
+	return consumeVarint(b[1:])
+}
+
+// DecodePacket parses an encoded packet into frames that own their memory.
+func DecodePacket(b []byte) (*Packet, error) {
+	pn, b, err := decodeHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	frames, err := parseFrames(rest)
-	if err != nil {
-		return nil, err
+	p := &Packet{Number: pn}
+	for len(b) > 0 {
+		var f Frame
+		if f, b, err = new(frameDecoder).decode(b); err != nil {
+			return nil, err
+		}
+		if sf, ok := f.(*StreamFrame); ok {
+			sf.Data = append([]byte{}, sf.Data...)
+		}
+		p.Frames = append(p.Frames, f)
 	}
-	return &Packet{Number: pn, Frames: frames}, nil
+	return p, nil
 }

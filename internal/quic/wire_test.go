@@ -70,8 +70,13 @@ func framesEqual(a, b []Frame) bool {
 	return true
 }
 
-func TestPacketRoundTrip(t *testing.T) {
-	pkt := &Packet{
+// ackRangeCountCrash claims 2^62-1 ACK ranges in an 11-byte packet; a
+// decoder that sizes the range slice from the claimed count panics.
+var ackRangeCountCrash = []byte{packetHeaderByte, 0x00, frameTypeAck, 0xC0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+
+// roundTripPacket carries one frame of every type.
+func roundTripPacket() *Packet {
+	return &Packet{
 		Number: 7777,
 		Frames: []Frame{
 			&AckFrame{Ranges: []AckRange{{First: 10, Last: 20}, {First: 1, Last: 5}}},
@@ -82,6 +87,10 @@ func TestPacketRoundTrip(t *testing.T) {
 			PingFrame{},
 		},
 	}
+}
+
+func TestPacketRoundTrip(t *testing.T) {
+	pkt := roundTripPacket()
 	enc := pkt.Encode()
 	if len(enc) != pkt.WireSize() {
 		t.Fatalf("WireSize = %d, encoded %d", pkt.WireSize(), len(enc))
@@ -120,6 +129,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{packetHeaderByte, 0, 0xFF}, // unknown frame type
 		{packetHeaderByte, 0, frameTypeStream, 0, 0, 5, 1, 2}, // truncated stream data
 		{packetHeaderByte, 0, frameTypeAck, 1, 5, 2},          // first > last ack range
+		ackRangeCountCrash,
 	}
 	for i, b := range cases {
 		if _, err := DecodePacket(b); err == nil {
