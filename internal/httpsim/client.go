@@ -3,7 +3,6 @@ package httpsim
 import (
 	"errors"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -70,8 +69,7 @@ type Recovery struct {
 }
 
 // Response is a client-side in-flight response. Body delivery is
-// event-driven; offsets are positions in the concatenated range payload
-// (use Ranges.ObjectOffset to map back).
+// event-driven; offsets are positions in the concatenated range payload.
 type Response struct {
 	Ranges     RangeSpec
 	Status     int
@@ -84,8 +82,6 @@ type Response struct {
 	OnBody func(bodyOff int64, data []byte)
 	// OnLost fires when the transport gives up on a body range.
 	OnLost func(bodyOff, length int64)
-	// OnHead fires once the response head is parsed.
-	OnHead func()
 	// OnComplete fires when every body byte is received or reported lost.
 	OnComplete func()
 	// OnFail fires once when the request is abandoned for good: every
@@ -102,9 +98,8 @@ type Response struct {
 	failed   bool
 	reqStr   *quic.Stream
 	client   *Client
-	headBuf  []byte
-	headCov  quic.RangeSet // stream-offset coverage during the head phase
-	bodyBase uint64        // stream offset where the body starts (reliable path)
+	head     headReader // the current attempt's head, until parsed
+	bodyBase uint64     // stream offset where the body starts (reliable path)
 
 	// retry state. gen invalidates callbacks wired by earlier attempts:
 	// a stale stream delivering late cannot corrupt the per-attempt head
@@ -164,7 +159,7 @@ type Client struct {
 	pendingByStream map[uint64]pendingRef
 	// earlyStreams buffers unreliable streams that arrived before their
 	// announcing response head.
-	earlyStreams map[uint64]*earlyStream
+	earlyStreams map[uint64]*bodyStream
 
 	// inflight tracks unresolved responses in issue order, so the sweep on
 	// a connection close fails them in a deterministic order.
@@ -176,8 +171,11 @@ type pendingRef struct {
 	gen int
 }
 
-type earlyStream struct {
-	st     *quic.Stream
+// bodyStream is the client's side of a server-initiated (unreliable body)
+// stream: the response attempt it delivers to, and what arrived before its
+// announcing head was parsed.
+type bodyStream struct {
+	ref    pendingRef // zero until adopted
 	chunks []earlyChunk
 	losses [][2]uint64
 	fin    bool
@@ -198,7 +196,7 @@ func NewClient(conn *quic.Conn) *Client {
 		conns:           []*quic.Conn{conn},
 		sim:             conn.Sim(),
 		pendingByStream: make(map[uint64]pendingRef),
-		earlyStreams:    make(map[uint64]*earlyStream),
+		earlyStreams:    make(map[uint64]*bodyStream),
 	}
 	conn.OnStream(c.onServerStream)
 	conn.OnClose(c.onConnClose)
@@ -237,22 +235,10 @@ func (c *Client) AddFailover(conn *quic.Conn) {
 func (c *Client) Conn() *quic.Conn { return c.conn }
 
 // Get issues a GET for path. ranges may be nil (whole object); unreliable
-// asks the server for unreliable body delivery; extra headers are optional.
-// Callbacks should be set on the returned Response immediately (before the
-// simulator runs again).
-func (c *Client) Get(path string, ranges RangeSpec, unreliable bool, extra map[string]string) *Response {
-	// Copy the caller's headers in sorted key order: lowercasing can make
-	// distinct keys collide, and "last writer wins" must not depend on map
-	// iteration order (voxel-vet: determinism).
-	headers := make(map[string]string, len(extra)+2)
-	extraKeys := make([]string, 0, len(extra))
-	for k := range extra {
-		extraKeys = append(extraKeys, k)
-	}
-	sort.Strings(extraKeys)
-	for _, k := range extraKeys {
-		headers[strings.ToLower(k)] = extra[k]
-	}
+// asks the server for unreliable body delivery. Callbacks should be set on
+// the returned Response immediately (before the simulator runs again).
+func (c *Client) Get(path string, ranges RangeSpec, unreliable bool) *Response {
+	headers := make(map[string]string, 2)
 	if len(ranges) > 0 {
 		headers["range"] = formatRangeHeader(ranges)
 	}
@@ -280,8 +266,7 @@ func (c *Client) issue(r *Response) {
 	r.gen++
 	gen := r.gen
 	r.headDone = false
-	r.headBuf = nil
-	r.headCov = quic.RangeSet{}
+	r.head = headReader{}
 	r.bodyBase = 0
 	r.finSeen = false
 	st := c.conn.OpenStream(false)
@@ -413,7 +398,7 @@ func (c *Client) onConnClose(err error) {
 		// Stream IDs restart on the new connection: per-conn adoption state
 		// from the dead one no longer means anything.
 		c.pendingByStream = make(map[uint64]pendingRef)
-		c.earlyStreams = make(map[uint64]*earlyStream)
+		c.earlyStreams = make(map[uint64]*bodyStream)
 		next.OnStream(c.onServerStream)
 		next.OnClose(c.onConnClose)
 	}
@@ -431,36 +416,17 @@ func (c *Client) onConnClose(err error) {
 // response head, then (for reliable responses) the body.
 func (r *Response) onReliableData(off uint64, data []byte) {
 	if !r.headDone {
-		// Stream frames can arrive out of order; buffer with coverage
-		// tracking until the head terminator sits in the contiguous prefix.
-		need := off + uint64(len(data))
-		if uint64(len(r.headBuf)) < need {
-			nb := make([]byte, need)
-			copy(nb, r.headBuf)
-			r.headBuf = nb
-		}
-		copy(r.headBuf[off:], data)
-		r.headCov.Add(off, need)
-		contig := r.headCov.ContiguousFrom(0)
-		end := headEnd(r.headBuf[:contig])
+		end := r.head.add(off, data)
 		if end < 0 {
 			return
 		}
-		r.parseHead(r.headBuf[:end])
+		r.parseHead(r.head.buf[:end])
 		r.bodyBase = uint64(end)
-		// Deliver any body bytes that were buffered during the head phase,
-		// respecting coverage (gaps stay gaps).
-		for _, cr := range r.headCov.Ranges() {
-			if cr.End <= r.bodyBase {
-				continue
-			}
-			start := cr.Start
-			if start < r.bodyBase {
-				start = r.bodyBase
-			}
-			r.deliverBody(int64(start-r.bodyBase), r.headBuf[start:cr.End])
-		}
-		r.headBuf = nil
+		// Deliver the body bytes that were buffered during the head phase.
+		r.head.body(r.bodyBase, func(off uint64, data []byte) {
+			r.deliverBody(int64(off), data)
+		})
+		r.head = headReader{}
 		return
 	}
 	if r.Unreliable {
@@ -496,9 +462,6 @@ func (r *Response) parseHead(head []byte) {
 		r.Unreliable = true
 		id, _ := strconv.ParseUint(sid, 10, 64)
 		r.client.adopt(id, r)
-	}
-	if r.OnHead != nil {
-		r.OnHead()
 	}
 	if r.BodyLen == 0 && !r.Unreliable {
 		r.maybeComplete(true)
@@ -584,84 +547,63 @@ func (r *Response) maybeComplete(finKnown bool) {
 func (c *Client) adopt(streamID uint64, r *Response) {
 	ref := pendingRef{r: r, gen: r.gen}
 	c.pendingByStream[streamID] = ref
-	if early, ok := c.earlyStreams[streamID]; ok {
-		delete(c.earlyStreams, streamID)
-		c.bind(early.st, ref)
-		for _, ch := range early.chunks {
-			r.deliverBody(int64(ch.off), ch.data)
-		}
-		for _, l := range early.losses {
-			r.deliverLoss(int64(l[0]), int64(l[1]))
-		}
-		if early.fin {
-			r.onUnreliableFin(early.final)
-		}
+	early, ok := c.earlyStreams[streamID]
+	if !ok {
+		return
+	}
+	delete(c.earlyStreams, streamID)
+	early.ref = ref
+	for _, ch := range early.chunks {
+		r.deliverBody(int64(ch.off), ch.data)
+	}
+	for _, l := range early.losses {
+		r.deliverLoss(int64(l[0]), int64(l[1]))
+	}
+	if early.fin {
+		r.onUnreliableFin(early.final)
 	}
 }
 
 // onServerStream handles server-initiated streams (unreliable bodies).
+// Deliveries go to the adopting response attempt, gated on its generation;
+// a stream that arrives before its announcing head is buffered until adopt.
 func (c *Client) onServerStream(st *quic.Stream) {
+	bs := &bodyStream{}
 	if ref, ok := c.pendingByStream[st.ID()]; ok {
-		c.bind(st, ref)
-		return
+		bs.ref = ref
+	} else {
+		c.earlyStreams[st.ID()] = bs
 	}
-	// Head not seen yet: buffer.
-	early := &earlyStream{st: st}
-	c.earlyStreams[st.ID()] = early
 	st.OnData(func(off uint64, data []byte) {
-		if ref, ok := c.pendingByStream[st.ID()]; ok {
-			if ref.r.gen == ref.gen {
-				ref.r.touch()
-				ref.r.deliverBody(int64(off), data)
+		if r := bs.ref.r; r != nil {
+			if r.gen == bs.ref.gen {
+				r.touch()
+				r.deliverBody(int64(off), data)
 			}
 			return
 		}
 		cp := make([]byte, len(data))
 		copy(cp, data)
-		early.chunks = append(early.chunks, earlyChunk{off: off, data: cp})
+		bs.chunks = append(bs.chunks, earlyChunk{off: off, data: cp})
 	})
 	st.OnLost(func(off, n uint64) {
-		if ref, ok := c.pendingByStream[st.ID()]; ok {
-			if ref.r.gen == ref.gen {
-				ref.r.touch()
-				ref.r.deliverLoss(int64(off), int64(n))
+		if r := bs.ref.r; r != nil {
+			if r.gen == bs.ref.gen {
+				r.touch()
+				r.deliverLoss(int64(off), int64(n))
 			}
 			return
 		}
-		early.losses = append(early.losses, [2]uint64{off, n})
+		bs.losses = append(bs.losses, [2]uint64{off, n})
 	})
 	st.OnFin(func(final uint64) {
-		if ref, ok := c.pendingByStream[st.ID()]; ok {
-			if ref.r.gen == ref.gen {
-				ref.r.onUnreliableFin(final)
+		if r := bs.ref.r; r != nil {
+			if r.gen == bs.ref.gen {
+				r.onUnreliableFin(final)
 			}
 			return
 		}
-		early.fin = true
-		early.final = final
-	})
-}
-
-// bind attaches response delivery to an adopted unreliable stream, gated on
-// the adopting attempt's generation.
-func (c *Client) bind(st *quic.Stream, ref pendingRef) {
-	r := ref.r
-	gen := ref.gen
-	st.OnData(func(off uint64, data []byte) {
-		if r.gen == gen {
-			r.touch()
-			r.deliverBody(int64(off), data)
-		}
-	})
-	st.OnLost(func(off, n uint64) {
-		if r.gen == gen {
-			r.touch()
-			r.deliverLoss(int64(off), int64(n))
-		}
-	})
-	st.OnFin(func(final uint64) {
-		if r.gen == gen {
-			r.onUnreliableFin(final)
-		}
+		bs.fin = true
+		bs.final = final
 	})
 }

@@ -12,11 +12,15 @@
 package httpsim
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"voxel/internal/quic"
 )
 
 // HeaderUnreliable requests unreliable body delivery.
@@ -96,19 +100,6 @@ func (r RangeSpec) TotalBytes() int64 {
 	return n
 }
 
-// ObjectOffset maps an offset in the concatenated response body back to the
-// object offset it came from.
-func (r RangeSpec) ObjectOffset(bodyOff int64) int64 {
-	for _, rr := range r {
-		l := rr[1] - rr[0]
-		if bodyOff < l {
-			return rr[0] + bodyOff
-		}
-		bodyOff -= l
-	}
-	return -1
-}
-
 // header formatting
 
 func formatRangeHeader(r RangeSpec) string {
@@ -137,6 +128,9 @@ func parseRangeHeader(v string) (RangeSpec, error) {
 		}
 		if last < start {
 			return nil, fmt.Errorf("httpsim: inverted range %q", part)
+		}
+		if last == math.MaxInt64 {
+			return nil, fmt.Errorf("httpsim: range end overflows %q", part)
 		}
 		out = append(out, [2]int64{start, last + 1})
 	}
@@ -182,9 +176,44 @@ func parseHead(data []byte) (first string, headers map[string]string, err error)
 	return lines[0], headers, nil
 }
 
+// headReader reassembles a message head from stream bytes that may arrive
+// out of order. Bytes are buffered with coverage tracking, and the head is
+// only looked for in the contiguous prefix: a hole is still zero-filled, so
+// searching past it could take a later packet's terminator for the end of
+// a head whose start has not arrived yet.
+type headReader struct {
+	buf []byte
+	cov quic.RangeSet
+}
+
+// add buffers data at stream offset off. Once the head is complete it
+// returns the head's length, terminator included, which is also the stream
+// offset where the body starts; until then it returns -1.
+func (h *headReader) add(off uint64, data []byte) int {
+	need := off + uint64(len(data))
+	if n := uint64(len(h.buf)); n < need {
+		h.buf = append(h.buf, make([]byte, need-n)...)
+	}
+	copy(h.buf[off:], data)
+	h.cov.Add(off, need)
+	return headEnd(h.buf[:h.cov.ContiguousFrom(0)])
+}
+
+// body calls fn, in offset order, for each buffered run of bytes past the
+// body start; holes stay holes. Offsets are relative to the body start.
+func (h *headReader) body(start uint64, fn func(off uint64, data []byte)) {
+	for _, cr := range h.cov.Ranges() {
+		if cr.End <= start {
+			continue
+		}
+		s := max(cr.Start, start)
+		fn(s-start, h.buf[s:cr.End])
+	}
+}
+
 // headEnd finds the end of the head ("\r\n\r\n"); -1 if incomplete.
 func headEnd(data []byte) int {
-	idx := strings.Index(string(data), "\r\n\r\n")
+	idx := bytes.Index(data, []byte("\r\n\r\n"))
 	if idx < 0 {
 		return -1
 	}

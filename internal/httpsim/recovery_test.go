@@ -35,7 +35,7 @@ func TestBlackholedRequestTerminates(t *testing.T) {
 
 	var failErr error
 	var failAt sim.Time
-	resp := fx.client.Get("/a", nil, false, nil)
+	resp := fx.client.Get("/a", nil, false)
 	resp.OnFail = func(err error) { failErr, failAt = err, fx.s.Now() }
 	resp.OnComplete = func() { t.Error("request on a dead link cannot complete") }
 
@@ -64,7 +64,7 @@ func TestRetryAfterTransientBlackout(t *testing.T) {
 	fx.client.SetRecovery(testRecovery())
 
 	var done bool
-	resp := fx.client.Get("/a", nil, false, nil)
+	resp := fx.client.Get("/a", nil, false)
 	resp.OnComplete = func() { done = true }
 	resp.OnFail = func(err error) { t.Errorf("request failed: %v", err) }
 	fx.s.RunUntil(60 * time.Second)
@@ -90,8 +90,8 @@ func TestDeadlineDefersToBusyConn(t *testing.T) {
 		Retry:          RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Millisecond},
 	})
 
-	r1 := fx.client.Get("/big", nil, false, nil)
-	r2 := fx.client.Get("/small", nil, false, nil)
+	r1 := fx.client.Get("/big", nil, false)
+	r2 := fx.client.Get("/small", nil, false)
 	var doneBig, doneSmall bool
 	r1.OnComplete = func() { doneBig = true }
 	r2.OnComplete = func() { doneSmall = true }
@@ -129,7 +129,7 @@ func TestFailoverToSecondOrigin(t *testing.T) {
 	client.AddFailover(c2)
 
 	var done bool
-	resp := client.Get("/a", nil, false, nil)
+	resp := client.Get("/a", nil, false)
 	resp.OnComplete = func() { done = true }
 	resp.OnFail = func(err error) { t.Errorf("request failed: %v", err) }
 	// Kill the primary immediately: the response must come from origin 2.

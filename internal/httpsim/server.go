@@ -34,21 +34,16 @@ func NewServer(conn *quic.Conn, handler Handler, opts ServerOptions) *Server {
 }
 
 func (s *Server) onStream(st *quic.Stream) {
-	var buf []byte
+	var head headReader
 	var handled bool
 	st.OnData(func(off uint64, data []byte) {
-		need := off + uint64(len(data))
-		if uint64(len(buf)) < need {
-			nb := make([]byte, need)
-			copy(nb, buf)
-			buf = nb
+		if handled {
+			return
 		}
-		copy(buf[off:], data)
-		if !handled {
-			if end := headEnd(buf); end >= 0 {
-				handled = true
-				s.serve(st, buf[:end])
-			}
+		if end := head.add(off, data); end >= 0 {
+			handled = true
+			s.serve(st, head.buf[:end])
+			head = headReader{}
 		}
 	})
 }

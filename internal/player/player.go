@@ -61,17 +61,13 @@ type Config struct {
 	// BufferSegments is the playback buffer capacity in segments (the
 	// paper sweeps 1–7).
 	BufferSegments int
-	// Metric scores delivered segments (default SSIM).
+	// Metric scores delivered segments with qoe.DefaultModel (default SSIM).
 	Metric qoe.Metric
-	// Model is the QoE model used for scoring (default qoe.DefaultModel).
-	Model qoe.Model
 	// BetaCandidates adds BETA's single unreferenced-B virtual level per
 	// quality instead of VOXEL's manifest points.
 	BetaCandidates bool
 	// DisableSelectiveRetx turns off §4.2's buffer-full loss recovery.
 	DisableSelectiveRetx bool
-	// MaxVirtualCandidates caps per-quality virtual levels fed to the ABR.
-	MaxVirtualCandidates int
 	// Live enables live-edge semantics: segment i only becomes available
 	// once it has been produced (i+1 segment durations after the session
 	// start), the natural regime for the paper's low-latency motivation.
@@ -186,6 +182,9 @@ func (r *Results) ResidualLossFraction() float64 {
 	return float64(missing) / float64(r.TargetBytes)
 }
 
+// maxVirtualCandidates caps the per-quality virtual levels fed to the ABR.
+const maxVirtualCandidates = 8
+
 // Player drives one playback session.
 type Player struct {
 	sim    *sim.Sim
@@ -216,8 +215,8 @@ type Player struct {
 	// active download
 	dl *download
 
-	// selective retransmission
-	retxActive *retxState
+	// selective retransmission: a hole re-request is in flight
+	retxActive bool
 
 	obs *obs.Scope // nil = telemetry disabled (all calls no-op)
 }
@@ -250,11 +249,6 @@ type download struct {
 	poll      *sim.Event
 }
 
-type retxState struct {
-	seg  *segState
-	resp *httpsim.Response
-}
-
 // New creates a player for the given title over an established QUIC*
 // connection that already has a server.VideoServer on the other side.
 func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Config) *Player {
@@ -264,19 +258,13 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 	if cfg.BufferSegments <= 0 {
 		cfg.BufferSegments = 7
 	}
-	if cfg.Model == (qoe.Model{}) {
-		cfg.Model = qoe.DefaultModel
-	}
-	if cfg.MaxVirtualCandidates <= 0 {
-		cfg.MaxVirtualCandidates = 8
-	}
 	p := &Player{
 		sim:    s,
 		client: httpsim.NewClient(conn),
 		cfg:    cfg,
 		video:  v,
 		man:    m,
-		anal:   &prep.Analyzer{Model: cfg.Model, Metric: cfg.Metric},
+		anal:   &prep.Analyzer{Model: qoe.DefaultModel, Metric: cfg.Metric},
 		obs:    cfg.Obs,
 	}
 	p.client.SetObs(cfg.Obs)
@@ -294,7 +282,7 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 func (p *Player) Run(onDone func()) {
 	p.onDone = onDone
 	start := p.sim.Now()
-	resp := p.client.Get(server.ManifestPath, nil, false, nil)
+	resp := p.client.Get(server.ManifestPath, nil, false)
 	resp.OnComplete = func() {
 		// Seed the throughput estimate from the manifest transfer.
 		el := p.sim.Now() - start
@@ -397,7 +385,7 @@ func (p *Player) step() {
 		p.idle(d.Sleep)
 		return
 	}
-	p.startDownload(d.Candidate)
+	p.begin(p.nextIndex, d.Candidate, 0, 0)
 }
 
 func (p *Player) state() abr.State {
@@ -485,7 +473,7 @@ func (p *Player) buildOptions(idx int) abr.Options {
 				if pt.Score < bound {
 					continue
 				}
-				if kept >= p.cfg.MaxVirtualCandidates {
+				if kept >= maxVirtualCandidates {
 					break
 				}
 				kept++
@@ -507,8 +495,14 @@ func (p *Player) usesVirtualLevels() bool {
 
 // --- download execution ---
 
-func (p *Player) startDownload(cand abr.Candidate) {
-	idx := p.nextIndex
+// begin commits cand for segment idx and issues its requests. restarts and
+// wasted carry over from the downloads an abandonment restart discarded.
+func (p *Player) begin(idx int, cand abr.Candidate, restarts, wasted int) {
+	p.obs.EventX(obs.EvSegmentChosen, int64(idx), int64(cand.Quality), int64(cand.Bytes), cand.Score)
+	if cand.Virtual {
+		p.obs.Inc(obs.CVirtualSegments)
+		p.obs.Event(obs.EvVirtualLevel, int64(idx), int64(cand.Quality), int64(cand.Bytes))
+	}
 	seg := p.man.Segment(cand.Quality, idx)
 	state := &segState{index: idx, quality: cand.Quality, target: cand.Bytes}
 	p.segStates[idx] = state
@@ -518,19 +512,56 @@ func (p *Player) startDownload(cand abr.Candidate) {
 		startedAt: p.sim.Now(),
 		segStart:  seg.MediaRange[0],
 		state:     state,
+		restarts:  restarts,
+		wasted:    wasted,
 	}
-	p.recordChoice(idx, cand)
 	p.dl = dl
 	p.issueRequests(dl, seg)
 	p.schedulePoll(dl)
 }
 
-// recordChoice emits the telemetry for one committed download candidate.
-func (p *Player) recordChoice(idx int, cand abr.Candidate) {
-	p.obs.EventX(obs.EvSegmentChosen, int64(idx), int64(cand.Quality), int64(cand.Bytes), cand.Score)
-	if cand.Virtual {
-		p.obs.Inc(obs.CVirtualSegments)
-		p.obs.Event(obs.EvVirtualLevel, int64(idx), int64(cand.Quality), int64(cand.Bytes))
+// absSpec turns segment-relative [start, end) ranges into a request for
+// those bytes of the media file, in which the segment starts at base.
+func absSpec(base int64, lists ...[][2]int) httpsim.RangeSpec {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	spec := make(httpsim.RangeSpec, 0, n)
+	for _, l := range lists {
+		for _, r := range l {
+			spec = append(spec, [2]int64{base + int64(r[0]), base + int64(r[1])})
+		}
+	}
+	return spec
+}
+
+// plannedBodies returns the frame-body ranges cand plans to fetch: all of
+// them for a full segment, the first Frames-1 per the candidate's point for
+// a virtual level.
+func plannedBodies(seg *dash.SegmentInfo, cand abr.Candidate) [][2]int {
+	if !cand.Virtual {
+		return seg.Unreliable
+	}
+	return seg.Unreliable[:min(cand.Frames-1, len(seg.Unreliable))]
+}
+
+// addBody records n bytes at offset off of spec's concatenated body in rs,
+// as segment-relative object ranges.
+func (dl *download) addBody(rs *quic.RangeSet, spec httpsim.RangeSpec, off, n int64) {
+	mapBody(spec, off, n, func(s, e int64) {
+		rs.Add(uint64(s-dl.segStart), uint64(e-dl.segStart))
+	})
+}
+
+// markMissingLost marks every planned byte of spec that never arrived as
+// lost, so scoring and selective retransmission see it.
+func (dl *download) markMissingLost(spec httpsim.RangeSpec) {
+	for _, r := range spec {
+		s0, e0 := uint64(r[0]-dl.segStart), uint64(r[1]-dl.segStart)
+		for _, g := range dl.state.received.Gaps(s0, e0) {
+			dl.state.lost.Add(g.Start, g.End)
+		}
 	}
 }
 
@@ -539,14 +570,6 @@ func (p *Player) recordChoice(idx int, cand abr.Candidate) {
 func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 	path := server.VideoPath(int(dl.cand.Quality))
 	base := seg.MediaRange[0]
-
-	toAbs := func(ranges [][2]int) httpsim.RangeSpec {
-		out := make(httpsim.RangeSpec, 0, len(ranges))
-		for _, r := range ranges {
-			out = append(out, [2]int64{base + int64(r[0]), base + int64(r[1])})
-		}
-		return out
-	}
 
 	switch p.cfg.Mode {
 	case ModeReliable, ModeVoxelReliable:
@@ -558,23 +581,21 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 		}
 		dl.bodySpec = spec
 		dl.relDone = true // no separate reliable phase
-		dl.body = p.client.Get(path, spec, false, nil)
+		dl.body = p.client.Get(path, spec, false)
 		p.wireBody(dl, false)
 	case ModeOpaque, ModeVoxel:
 		// Two-phase fetch (§4.2): reliable I-frame + headers, then the
 		// frame bodies over an unreliable stream.
-		relSpec := toAbs(seg.Reliable)
-		dl.reliable = p.client.Get(path, relSpec, false, nil)
-		rel := dl.reliable
+		relSpec := absSpec(base, seg.Reliable)
+		rel := p.client.Get(path, relSpec, false)
+		dl.reliable = rel
 		rel.OnComplete = func() {
 			if dl.finished || p.dl != dl {
 				return
 			}
 			dl.relDone = true
-			// The reliable part arrived in full.
-			for _, r := range relSpec {
-				dl.state.received.Add(uint64(r[0]-base), uint64(r[1]-base))
-			}
+			// The reliable part arrived in full; it is credited as a whole.
+			dl.addBody(&dl.state.received, relSpec, 0, relSpec.TotalBytes())
 			dl.gotBytes += int(relSpec.TotalBytes())
 			p.obs.Count(obs.CBytesReliable, uint64(relSpec.TotalBytes()))
 			p.obs.Event(obs.EvBytesReliable, int64(dl.index), relSpec.TotalBytes(), 0)
@@ -586,41 +607,27 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 			}
 			p.results.FailedRequests++
 			dl.relDone = true
-			// Salvage what arrived (body offsets are concatenated-range
-			// positions); the rest of the planned reliable part is lost.
+			// Salvage what arrived; the rest of the planned reliable part
+			// is lost.
 			for _, br := range rel.Received().Ranges() {
 				dl.gotBytes += int(br.Len())
-				mapBody(relSpec, int64(br.Start), int64(br.Len()), func(s, e int64) {
-					dl.state.received.Add(uint64(s-base), uint64(e-base))
-				})
+				dl.addBody(&dl.state.received, relSpec, int64(br.Start), int64(br.Len()))
 			}
-			for _, r := range relSpec {
-				s0, e0 := uint64(r[0]-base), uint64(r[1]-base)
-				for _, g := range dl.state.received.Gaps(s0, e0) {
-					dl.state.lost.Add(g.Start, g.End)
-				}
-			}
+			dl.markMissingLost(relSpec)
 			p.maybeFinishDownload(dl)
 		}
 
-		var bodyRanges [][2]int
-		if p.cfg.Mode == ModeOpaque || !dl.cand.Virtual {
-			bodyRanges = seg.Unreliable
-		} else {
-			// First Frames-1 body ranges per the candidate's point.
-			n := dl.cand.Frames - 1
-			if n > len(seg.Unreliable) {
-				n = len(seg.Unreliable)
-			}
-			bodyRanges = seg.Unreliable[:n]
+		bodies := seg.Unreliable
+		if p.cfg.Mode == ModeVoxel {
+			bodies = plannedBodies(seg, dl.cand)
 		}
-		if len(bodyRanges) == 0 {
+		if len(bodies) == 0 {
 			dl.bodyDone = true
 			p.maybeFinishDownload(dl)
 			return
 		}
-		dl.bodySpec = toAbs(bodyRanges)
-		dl.body = p.client.Get(path, dl.bodySpec, true, nil)
+		dl.bodySpec = absSpec(base, bodies)
+		dl.body = p.client.Get(path, dl.bodySpec, true)
 		p.wireBody(dl, true)
 	}
 }
@@ -649,18 +656,7 @@ func (p *Player) prefixSpec(idx int, seg *dash.SegmentInfo, cand abr.Candidate, 
 		}
 		return spec
 	}
-	var spec httpsim.RangeSpec
-	for _, r := range seg.Reliable {
-		spec = append(spec, [2]int64{base + int64(r[0]), base + int64(r[1])})
-	}
-	n := cand.Frames - 1
-	if n > len(seg.Unreliable) {
-		n = len(seg.Unreliable)
-	}
-	for _, r := range seg.Unreliable[:n] {
-		spec = append(spec, [2]int64{base + int64(r[0]), base + int64(r[1])})
-	}
-	return spec
+	return absSpec(base, seg.Reliable, plannedBodies(seg, cand))
 }
 
 // wireBody attaches delivery callbacks for the body response of dl.
@@ -668,7 +664,6 @@ func (p *Player) prefixSpec(idx int, seg *dash.SegmentInfo, cand abr.Candidate, 
 func (p *Player) wireBody(dl *download, unreliable bool) {
 	body := dl.body
 	spec := dl.bodySpec
-	segStart := dl.segStart
 	byteCtr := obs.CBytesReliable
 	if unreliable {
 		byteCtr = obs.CBytesUnreliable
@@ -679,17 +674,13 @@ func (p *Player) wireBody(dl *download, unreliable bool) {
 		}
 		dl.gotBytes += len(data)
 		p.obs.Count(byteCtr, uint64(len(data)))
-		mapBody(spec, off, int64(len(data)), func(s, e int64) {
-			dl.state.received.Add(uint64(s-segStart), uint64(e-segStart))
-		})
+		dl.addBody(&dl.state.received, spec, off, int64(len(data)))
 	}
 	body.OnLost = func(off, n int64) {
 		if dl.finished || p.dl != dl {
 			return
 		}
-		mapBody(spec, off, n, func(s, e int64) {
-			dl.state.lost.Add(uint64(s-segStart), uint64(e-segStart))
-		})
+		dl.addBody(&dl.state.lost, spec, off, n)
 	}
 	body.OnComplete = func() {
 		if dl.finished || p.dl != dl {
@@ -709,14 +700,8 @@ func (p *Player) wireBody(dl *download, unreliable bool) {
 		}
 		p.results.FailedRequests++
 		dl.bodyDone = true
-		// §4.3: keep the partial segment. Planned bytes that never arrived
-		// are marked lost so scoring and selective retransmission see them.
-		for _, r := range spec {
-			s0, e0 := uint64(r[0]-segStart), uint64(r[1]-segStart)
-			for _, g := range dl.state.received.Gaps(s0, e0) {
-				dl.state.lost.Add(g.Start, g.End)
-			}
-		}
+		// §4.3: keep the partial segment.
+		dl.markMissingLost(spec)
 		p.maybeFinishDownload(dl)
 	}
 }
@@ -805,23 +790,7 @@ func (p *Player) restartDownload(dl *download, cand abr.Candidate) {
 	p.results.BytesWasted += int64(wasted)
 	p.obs.Inc(obs.CAbandonRestarts)
 	p.obs.Event(obs.EvAbandonRestart, int64(dl.index), int64(wasted), int64(cand.Bytes))
-	p.recordChoice(dl.index, cand)
-
-	seg := p.man.Segment(cand.Quality, dl.index)
-	state := &segState{index: dl.index, quality: cand.Quality, target: cand.Bytes}
-	p.segStates[dl.index] = state
-	nd := &download{
-		cand:      cand,
-		index:     dl.index,
-		startedAt: p.sim.Now(),
-		segStart:  seg.MediaRange[0],
-		state:     state,
-		restarts:  dl.restarts + 1,
-		wasted:    dl.wasted + wasted,
-	}
-	p.dl = nd
-	p.issueRequests(nd, seg)
-	p.schedulePoll(nd)
+	p.begin(dl.index, cand, dl.restarts+1, dl.wasted+wasted)
 }
 
 // finishPartial stops fetching and accepts what arrived (ABR*, §4.3).
@@ -934,7 +903,7 @@ func (p *Player) scoreSegment(st *segState) float64 {
 		have := uint64(be-bs) - gapBytes(&st.received, uint64(bs), uint64(be))
 		loss[i] = 1 - float64(have)/float64(be-bs)
 	}
-	return p.cfg.Model.Score(p.cfg.Metric, s, loss)
+	return qoe.DefaultModel.Score(p.cfg.Metric, s, loss)
 }
 
 func gapBytes(rs *quic.RangeSet, start, end uint64) uint64 {
@@ -950,7 +919,7 @@ func gapBytes(rs *quic.RangeSet, start, end uint64) uint64 {
 // maybeSelectiveRetx re-requests lost ranges of unplayed segments while
 // the buffer is full.
 func (p *Player) maybeSelectiveRetx() {
-	if p.retxActive != nil {
+	if p.retxActive {
 		return
 	}
 	// Find the earliest unplayed segment with holes.
@@ -964,15 +933,10 @@ func (p *Player) maybeSelectiveRetx() {
 		if len(holes) == 0 {
 			continue
 		}
-		seg := p.man.Segment(st.quality, st.index)
-		spec := make(httpsim.RangeSpec, 0, len(holes))
-		for _, h := range holes {
-			spec = append(spec, [2]int64{seg.MediaRange[0] + int64(h.Start), seg.MediaRange[0] + int64(h.End)})
-		}
-		resp := p.client.Get(server.VideoPath(int(st.quality)), spec, true, nil)
-		rx := &retxState{seg: st, resp: resp}
-		p.retxActive = rx
-		segStart := seg.MediaRange[0]
+		segStart := p.man.Segment(st.quality, st.index).MediaRange[0]
+		spec := absSpec(segStart, holes)
+		resp := p.client.Get(server.VideoPath(int(st.quality)), spec, true)
+		p.retxActive = true
 		resp.OnBody = func(off int64, data []byte) {
 			mapBody(spec, off, int64(len(data)), func(s, e int64) {
 				before := st.received.CoveredBytes()
@@ -983,7 +947,7 @@ func (p *Player) maybeSelectiveRetx() {
 			})
 		}
 		resp.OnComplete = func() {
-			p.retxActive = nil
+			p.retxActive = false
 			// Re-score with the recovered data if not yet played.
 			if st.resultIx < len(p.results.Segments) {
 				p.results.Segments[st.resultIx].Score = p.scoreSegment(st)
@@ -992,22 +956,22 @@ func (p *Player) maybeSelectiveRetx() {
 		}
 		resp.OnFail = func(error) {
 			p.results.FailedRequests++
-			p.retxActive = nil // the repair is best-effort; move on
+			p.retxActive = false // the repair is best-effort; move on
 		}
 		return
 	}
 }
 
-// segmentHoles returns missing ranges within the segment's *target* bytes
-// (the part the plan wanted delivered).
-func (p *Player) segmentHoles(st *segState) []quic.ByteRange {
+// segmentHoles returns the segment-relative ranges that were lost in
+// transit and have not been recovered since.
+func (p *Player) segmentHoles(st *segState) [][2]int {
 	if st.lost.IsEmpty() {
 		return nil
 	}
-	var holes []quic.ByteRange
+	var holes [][2]int
 	for _, l := range st.lost.Ranges() {
 		for _, g := range st.received.Gaps(l.Start, l.End) {
-			holes = append(holes, g)
+			holes = append(holes, [2]int{int(g.Start), int(g.End)})
 		}
 	}
 	return holes

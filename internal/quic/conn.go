@@ -73,7 +73,7 @@ type Stats struct {
 	StreamBytesSent   uint64 // new stream payload bytes
 	RetransmitBytes   uint64 // reliable stream bytes retransmitted
 	UnreliableLost    uint64 // unreliable stream bytes reported lost
-	UnreliableRewrite uint64 // bytes re-sent via WriteAt (selective retx)
+	UnreliableRewrite uint64 // always 0: selective retx is the player's HTTP re-request
 	PTOCount          uint64
 }
 
@@ -140,7 +140,6 @@ type Conn struct {
 	// frame queues
 	ctrlQ      []Frame
 	retransmit []*StreamFrame // reliable stream data to resend
-	rewrites   []*StreamFrame // WriteAt ranges on unreliable streams (selective retx)
 
 	// flow control
 	sendLimit    uint64 // peer's MAX_DATA
@@ -290,7 +289,6 @@ func (c *Conn) Close(reason error) {
 	c.sentQ.reset()
 	c.ctrlQ = nil
 	c.retransmit = nil
-	c.rewrites = nil
 	c.active = nil
 	c.ackPending = false
 	if c.onClose != nil {
@@ -476,7 +474,7 @@ func (c *Conn) hasPending() bool {
 }
 
 func (c *Conn) hasAckElicitingPending() bool {
-	if len(c.ctrlQ) > 0 || len(c.retransmit) > 0 || len(c.rewrites) > 0 {
+	if len(c.ctrlQ) > 0 || len(c.retransmit) > 0 {
 		return true
 	}
 	for _, s := range c.active {
@@ -532,13 +530,11 @@ func (c *Conn) sendOnePacket() bool {
 			p.add(f)
 			sp.ctrlFrames = append(sp.ctrlFrames, f)
 		}
-		// Reliable retransmissions, then WriteAt rewrites on unreliable
-		// streams (the application's selective retransmission).
-		if n := c.pack(&c.retransmit, &p); n > 0 {
+		// Reliable retransmissions.
+		if n := c.packRetransmit(&p); n > 0 {
 			c.stats.RetransmitBytes += n
 			c.obs.Count(obs.CRetransmitBytes, n)
 		}
-		c.stats.UnreliableRewrite += c.pack(&c.rewrites, &p)
 		// New stream data, FIFO across active streams.
 		for len(c.active) > 0 && p.budget > 64 {
 			s := c.active[0]
@@ -593,16 +589,16 @@ func (c *Conn) sendOnePacket() bool {
 	return true
 }
 
-// pack moves stream frames from the front of q into p while more than 64
-// bytes of budget remain: a frame that fits moves whole, otherwise a prefix
-// is split off into a new frame and the suffix stays queued. It returns the
-// payload bytes moved.
-func (c *Conn) pack(q *[]*StreamFrame, p *txPacket) (moved uint64) {
-	for len(*q) > 0 && p.budget > 64 {
-		f := (*q)[0]
+// packRetransmit moves frames from the front of the retransmit queue into p
+// while more than 64 bytes of budget remain: a frame that fits moves whole,
+// otherwise a prefix is split off into a new frame and the suffix stays
+// queued. It returns the payload bytes moved.
+func (c *Conn) packRetransmit(p *txPacket) (moved uint64) {
+	for len(c.retransmit) > 0 && p.budget > 64 {
+		f := c.retransmit[0]
 		hdr := streamFrameOverhead(f.StreamID, f.Offset, len(f.Data))
 		if hdr+len(f.Data) <= p.budget {
-			*q = (*q)[1:]
+			c.retransmit = c.retransmit[1:]
 		} else {
 			avail := p.budget - hdr
 			if avail <= 0 {

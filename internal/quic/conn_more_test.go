@@ -194,15 +194,3 @@ func TestWriteAfterCloseWritePanics(t *testing.T) {
 	}()
 	st.Write([]byte("x"))
 }
-
-func TestWriteAtOnReliableStreamPanics(t *testing.T) {
-	s := sim.New(27)
-	client, _ := testPair(t, s, 10, 32)
-	st := client.OpenStream(false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	st.WriteAt(0, []byte("x"))
-}

@@ -208,58 +208,6 @@ func TestUnreliableFasterThanReliableOnLossyPath(t *testing.T) {
 	}
 }
 
-func TestWriteAtSelectiveRetransmission(t *testing.T) {
-	// Force real losses on an unreliable stream with a tight queue, then
-	// recover every reported hole via WriteAt — the primitive behind the
-	// paper's selective retransmission during buffer-full periods.
-	s := sim.New(7)
-	client, server := testPair(t, s, 4, 8)
-	const total = 1 << 20
-	data := payload(total)
-	var got *collect
-	var clientStream *Stream
-	client.OnStream(func(st *Stream) {
-		clientStream = st
-		got = newCollect(st, total)
-	})
-	st := server.OpenStream(true)
-	st.Write(data)
-	st.CloseWrite()
-	s.RunUntil(120 * time.Second)
-	if got == nil || !got.fin {
-		t.Fatal("initial transfer did not finalize")
-	}
-	if len(got.lost) == 0 {
-		t.Fatal("expected losses on tight queue")
-	}
-	// Re-request exactly the holes, as the player does when the playback
-	// buffer is full.
-	for _, r := range got.lost {
-		st.WriteAt(r.Start, data[r.Start:r.End])
-	}
-	s.RunUntil(240 * time.Second)
-	// After recovery, holes may have been lost again; iterate once more.
-	for _, r := range clientStream.Received().Gaps(0, total) {
-		st.WriteAt(r.Start, data[r.Start:r.End])
-	}
-	s.RunUntil(400 * time.Second)
-	if gaps := clientStream.Received().Gaps(0, total); len(gaps) > len(got.lost) {
-		t.Fatalf("recovery left %d gaps", len(gaps))
-	}
-	if !bytes.Equal(got.buf[:1000], data[:1000]) {
-		t.Fatal("head corrupted")
-	}
-	if server.Stats().UnreliableRewrite == 0 {
-		t.Fatal("rewrite bytes not accounted")
-	}
-	// Recovered bytes must be correct wherever received.
-	for _, r := range clientStream.Received().Ranges() {
-		if !bytes.Equal(got.buf[r.Start:r.End], data[r.Start:r.End]) {
-			t.Fatalf("range %v corrupted after recovery", r)
-		}
-	}
-}
-
 func TestBidirectionalRequestResponse(t *testing.T) {
 	s := sim.New(8)
 	client, server := testPair(t, s, 10, 32)

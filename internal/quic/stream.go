@@ -66,26 +66,6 @@ func (s *Stream) CloseWrite() {
 	s.conn.markActive(s)
 }
 
-// WriteAt re-queues bytes at a specific offset on an unreliable stream.
-// This is the server-side primitive behind the paper's selective
-// retransmission: the application re-sends ranges the client re-requested.
-// The caller supplies the bytes (the server still has the object).
-func (s *Stream) WriteAt(offset uint64, data []byte) {
-	if !s.unreliable {
-		panic("quic: WriteAt is only for unreliable streams")
-	}
-	if len(data) == 0 {
-		return
-	}
-	c := s.conn
-	f := c.allocFrame()
-	f.StreamID, f.Offset, f.Unreliable = s.id, offset, true
-	f.Data = make([]byte, len(data))
-	copy(f.Data, data)
-	c.rewrites = append(c.rewrites, f)
-	c.trySend()
-}
-
 // OnData registers the receive callback; it fires once per arriving stream
 // frame with that frame's offset and payload. Frames can arrive out of
 // order; duplicate bytes are suppressed.

@@ -31,7 +31,7 @@ func fixture(t *testing.T) (*sim.Sim, *httpsim.Client, *VideoServer, *dash.Manif
 
 func TestServesManifest(t *testing.T) {
 	s, client, _, m := fixture(t)
-	resp := client.Get(ManifestPath, nil, false, nil)
+	resp := client.Get(ManifestPath, nil, false)
 	var body []byte
 	done := false
 	resp.OnBody = func(off int64, data []byte) { body = append(body, data...) }
@@ -52,7 +52,7 @@ func TestServesManifest(t *testing.T) {
 func TestServesMediaRanges(t *testing.T) {
 	s, client, _, m := fixture(t)
 	seg := m.Segment(12, 1)
-	resp := client.Get(VideoPath(12), httpsim.RangeSpec{{seg.MediaRange[0], seg.MediaRange[1]}}, false, nil)
+	resp := client.Get(VideoPath(12), httpsim.RangeSpec{{seg.MediaRange[0], seg.MediaRange[1]}}, false)
 	done := false
 	resp.OnComplete = func() { done = true }
 	s.RunUntil(30 * time.Second)
@@ -67,7 +67,7 @@ func TestServesMediaRanges(t *testing.T) {
 func TestRejectsUnknownPaths(t *testing.T) {
 	s, client, _, _ := fixture(t)
 	for _, p := range []string{"/nope", "/video/Q99", "/video/Qx"} {
-		resp := client.Get(p, nil, false, nil)
+		resp := client.Get(p, nil, false)
 		done := false
 		resp.OnComplete = func() { done = true }
 		s.RunUntil(s.Now() + 5*time.Second)
